@@ -150,7 +150,7 @@ std::string json_row(const Row& r) {
 //
 // The classic suite above answers "does rewriting shrink real circuits"; at
 // its sizes the per-round fixed costs dominate and thread-scaling curves are
-// flat. This mode answers "does the barrier-free reservation pipeline scale":
+// flat. This mode answers "does the evaluate-then-commit round scale":
 // it generates the scale_random / scale_industrial families (benchgen/scale)
 // at a target AIG-node budget, runs the rewrite engine alone (no frontend, no
 // fraig, no CEC — a SAT sweep at this size would dwarf the engine under test)

@@ -1,7 +1,9 @@
 // DAG-aware cut-rewriting engine: cut-enumeration invariants (leaf bounds,
 // dominated-cut pruning, determinism), replacement-library correctness over
 // every 4-input function, factoring rewrites with CEC, randomized
-// rewrite-then-CEC properties, and thread-count determinism.
+// rewrite-then-CEC properties, and thread-count determinism (also under
+// seeded fault schedules; SMARTLY_FAULT_SEED_OFFSET shifts them, as in
+// tests/test_faults.cpp).
 #include "aig/aigmap.hpp"
 #include "backend/write_rtlil.hpp"
 #include "benchgen/public_bench.hpp"
@@ -14,11 +16,14 @@
 #include "rewrite/rewrite_engine.hpp"
 #include "rewrite/rewrite_lib.hpp"
 #include "rtlil/module.hpp"
+#include "util/fault.hpp"
 #include "verilog/elaborate.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <string>
 
 using namespace smartly;
 using rtlil::CellType;
@@ -54,6 +59,11 @@ rewrite::RewriteOptions serial_options() {
 void expect_equivalent(const Module& gold, const Module& gate, const char* label) {
   const auto r = cec::check_equivalence(gold, gate);
   EXPECT_TRUE(r.equivalent) << label << ": differs at " << r.failing_output;
+}
+
+uint64_t seed_offset() {
+  const char* env = std::getenv("SMARTLY_FAULT_SEED_OFFSET");
+  return env != nullptr ? std::strtoull(env, nullptr, 10) : 0;
 }
 
 } // namespace
@@ -278,6 +288,51 @@ TEST(RewriteEngine, DeterministicAcrossThreadCounts) {
         EXPECT_EQ(netlist, first_netlist) << "seed " << seed << " threads " << threads;
         EXPECT_TRUE(rewrite::same_work(stats, first_stats))
             << "seed " << seed << " threads " << threads;
+      }
+    }
+  }
+}
+
+// --- the end property: thread-count byte-identity under fault schedules -----
+
+TEST(ReservationDeterminism, ByteIdenticalAcrossThreadCountsUnderFaultSchedules) {
+  for (uint64_t s = 1; s <= 10; ++s) {
+    const uint64_t seed = seed_offset() + s;
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const std::string src = benchgen::random_verilog(seed, 6);
+
+    std::string first_netlist;
+    rewrite::RewriteStats first_stats;
+    bool have_first = false;
+    for (const int threads : {1, 2, 4, 8}) {
+      SCOPED_TRACE("threads " + std::to_string(threads));
+      auto design = verilog::read_verilog(src);
+      rewrite::RewriteOptions options;
+      options.threads = threads;
+      options.check_index = true; // index must equal a rebuild even after halts
+      rewrite::RewriteStats stats;
+      {
+        // Forced Unknowns skip roots, injected throws stop the commit loop
+        // mid-round; both fire from the canonical commit path, so every
+        // thread count must take the identical schedule.
+        util::FaultPlan plan;
+        plan.seed = seed;
+        plan.unknown_permille = 250;
+        plan.throw_permille = 60;
+        plan.site_filter = "rewrite";
+        util::FaultScope scope(plan);
+        stats = rewrite::rewrite_sweep(*design->top(), options);
+      }
+      const std::string netlist = backend::write_rtlil(*design->top());
+      if (!have_first) {
+        first_netlist = netlist;
+        first_stats = stats;
+        have_first = true;
+      } else {
+        EXPECT_EQ(netlist, first_netlist);
+        EXPECT_TRUE(rewrite::same_work(stats, first_stats));
+        EXPECT_EQ(stats.halted, first_stats.halted);
+        EXPECT_EQ(stats.skipped_roots, first_stats.skipped_roots);
       }
     }
   }
