@@ -155,7 +155,7 @@ def check_resource(doc, errors):
 # need a lockstep edit here to land.
 KNOWN_COUNTER_PREFIXES = (
     "oracle.", "sweep.", "pool.", "fraig.", "rewrite.", "txn.", "service.",
-    "log.", "bench.",
+    "log.", "bench.", "cec.",
 )
 
 

@@ -3,8 +3,8 @@
 // Paper §IV.A: "All the results generated by our program passed equivalence
 // checking." This module provides that check: both designs are bit-blasted
 // to AIGs, corresponding outputs (matched by name, with dff D-cones included
-// and Q-bits treated as shared free inputs) are XORed into a miter, and the
-// CDCL solver proves the miter UNSAT or produces a counterexample.
+// and Q-bits treated as shared free inputs) are XORed into a miter, and a
+// CDCL solver per output proves its miter UNSAT or produces a counterexample.
 #pragma once
 
 #include "rtlil/module.hpp"
@@ -17,9 +17,11 @@
 namespace smartly::cec {
 
 struct CecOptions {
-  /// Per-output conflict cap. Negative = unlimited (the default: the checker
-  /// historically ran to completion). When the cap or the guard interrupts a
-  /// solve, the result degrades to `inconclusive` instead of throwing.
+  /// Conflict cap on each output's own solver: every surviving miter leg is
+  /// proven in a fresh solver over just its two cones, so the cap (and the
+  /// verdict under it) depends only on that output. Negative = unlimited
+  /// (the default). When the cap or the guard interrupts a solve, the result
+  /// degrades to `inconclusive` instead of throwing.
   int64_t conflict_budget = -1;
   /// Optional run-wide resource governor (not owned): solver conflicts and
   /// propagations are charged here, a deadline/cancel interrupts the solver

@@ -3,6 +3,7 @@
 #include "cec/cec.hpp"
 #include "rtlil/module.hpp"
 #include "sim/eval.hpp"
+#include "util/budget.hpp"
 #include "verilog/elaborate.hpp"
 
 #include <gtest/gtest.h>
@@ -22,6 +23,16 @@ cec::CecResult check(const std::string& gold_src, const std::string& gate_src) {
   auto gold = verilog::read_verilog(gold_src);
   auto gate = verilog::read_verilog(gate_src);
   return cec::check_equivalence(*gold->top(), *gate->top());
+}
+
+/// n independent outputs, each a majority of its own three inputs, in two
+/// forms whose AIGs strash apart: every output's miter leg needs SAT.
+std::string majority_src(int n, bool factored) {
+  const std::string w = "[" + std::to_string(n - 1) + ":0]";
+  return "module top(a, b, c, y);\n  input " + w + " a, b, c;\n  output " + w +
+         " y;\n  assign y = " +
+         (factored ? "(a & (b | c)) | (b & c)" : "(a & b) | (b & c) | (a & c)") +
+         ";\nendmodule\n";
 }
 
 } // namespace
@@ -230,4 +241,41 @@ TEST(Cec, WideArithmeticEquivalence) {
     endmodule
   )");
   EXPECT_TRUE(r.equivalent);
+}
+
+TEST(Cec, PerOutputCostIndependentOfEarlierOutputs) {
+  // Proving one output must not get dearer because other outputs were
+  // proven before it: solver work grows linearly in the output count.
+  auto propagations = [](int n) {
+    auto gold = verilog::read_verilog(majority_src(n, false));
+    auto gate = verilog::read_verilog(majority_src(n, true));
+    util::ResourceGuard guard;
+    cec::CecOptions options;
+    options.guard = &guard;
+    EXPECT_TRUE(cec::check_equivalence(*gold->top(), *gate->top(), options).equivalent);
+    return guard.report().propagations;
+  };
+  const uint64_t p8 = propagations(8);
+  const uint64_t p64 = propagations(64);
+  ASSERT_GT(p8, 0u);
+  EXPECT_LE(p64, 10 * p8) << "n=8: " << p8 << " propagations, n=64: " << p64;
+}
+
+TEST(Cec, ConflictBudgetDegradesToInconclusive) {
+  auto gold = verilog::read_verilog(majority_src(1, false));
+  auto gate = verilog::read_verilog(majority_src(1, true));
+
+  // The miter needs search: proving it takes at least one conflict.
+  util::ResourceGuard guard;
+  cec::CecOptions options;
+  options.guard = &guard;
+  EXPECT_TRUE(cec::check_equivalence(*gold->top(), *gate->top(), options).equivalent);
+  ASSERT_GE(guard.report().conflicts, 1u);
+
+  options.conflict_budget = 0;
+  const auto r = cec::check_equivalence(*gold->top(), *gate->top(), options);
+  EXPECT_FALSE(r.equivalent);
+  EXPECT_TRUE(r.inconclusive);
+  EXPECT_FALSE(r.failing_output.empty());
+  EXPECT_TRUE(r.counterexample.empty());
 }
