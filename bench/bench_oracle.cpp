@@ -1,6 +1,6 @@
 // Oracle engine benchmark: from-scratch InferenceOracle vs IncrementalOracle
 // over the public + industrial circuits, emitting the BENCH_oracle.json
-// schema (per-circuit speedup, cache hit rates, pattern recycling, and a
+// schema (per-circuit speedup, cache hit rates, SAT effort, and a
 // decisions_match differential).
 //
 //   ./bench_oracle [--smoke] [--json] [--filter <substr>]
@@ -144,10 +144,7 @@ void print_json_row(const Row& r, bool last) {
       .put("sat_calls_incremental", is.sat_calls)
       .put("solver_conflicts_baseline", static_cast<unsigned long long>(r.base_stats.solver_conflicts))
       .put("solver_conflicts_incremental", static_cast<unsigned long long>(is.solver_conflicts))
-      .put("patterns_recycled", is.patterns_recycled)
       .put("cells_remapped", is.cells_remapped)
-      .put("engine_resets", is.engine_resets)
-      .put("dropped_constraints", is.dropped_constraints)
       .put("decisions_match", r.decisions_match);
   std::printf("    %s%s\n", o.str().c_str(), last ? "" : ",");
 }

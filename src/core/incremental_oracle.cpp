@@ -17,9 +17,7 @@ using rtlil::Cell;
 using rtlil::SigBit;
 
 IncrementalOracle::IncrementalOracle(const IncrementalOracleOptions& options)
-    : options_(options), solver_(std::make_unique<sat::Solver>()) {
-  if (options_.base.guard != nullptr && options_.base.guard->wants_interrupts())
-    solver_->set_interrupt_check([g = options_.base.guard] { return g->poll(); });
+    : options_(options) {
   // Every decision-affecting knob is folded into the portable-memo keys:
   // entries recorded under one configuration must never answer queries made
   // under another (e.g. a wider sim threshold flips sim-vs-SAT routing).
@@ -45,11 +43,6 @@ void IncrementalOracle::full_reset() {
   pending_removed_bits_.clear();
   cone_cache_.clear();
   cell_to_cones_.clear();
-  patterns_.clear();
-  solver_ = std::make_unique<sat::Solver>();
-  if (options_.base.guard != nullptr && options_.base.guard->wants_interrupts())
-    solver_->set_interrupt_check([g = options_.base.guard] { return g->poll(); });
-  ++solver_generation_;
 }
 
 void IncrementalOracle::flush_pending_removed() {
@@ -106,15 +99,6 @@ void IncrementalOracle::invalidate_decision(uint64_t id) {
   live_decisions_.erase(it);
 }
 
-void IncrementalOracle::reset_solver() {
-  if (solver_)
-    ++stats_.engine_resets;
-  solver_ = std::make_unique<sat::Solver>();
-  if (options_.base.guard != nullptr && options_.base.guard->wants_interrupts())
-    solver_->set_interrupt_check([g = options_.base.guard] { return g->poll(); });
-  ++solver_generation_; // generation tag: all existing clause groups are dead
-}
-
 void IncrementalOracle::invalidate_cell(Cell* cell) {
   // Decisions are invalidated by support: a cached answer can only change if
   // a cell inside its extraction ball changed. (The walker only ever shrinks
@@ -127,22 +111,12 @@ void IncrementalOracle::invalidate_cell(Cell* cell) {
   }
 
   // Cone entries are content-addressed and would stop matching on their own;
-  // evicting them eagerly reclaims memory and retires their clause groups so
-  // the persistent solver stops carrying constraints of dead structure.
+  // evicting them eagerly reclaims their memory.
   auto it = cell_to_cones_.find(cell);
   if (it == cell_to_cones_.end())
     return;
-  for (const Hash128& key : it->second) {
-    auto ce = cone_cache_.find(key);
-    if (ce == cone_cache_.end())
-      continue;
-    ConeEntry& entry = ce->second;
-    if (entry.encoded && entry.generation == solver_generation_ && solver_) {
-      solver_->add_clause(~entry.activation);
-      ++stats_.dropped_constraints;
-    }
-    cone_cache_.erase(ce);
-  }
+  for (const Hash128& key : it->second)
+    cone_cache_.erase(key);
   cell_to_cones_.erase(it);
 }
 
@@ -193,11 +167,9 @@ IncrementalOracle::ConeEntry& IncrementalOracle::cone_for(
   ++stats_.cone_cache_misses;
 
   if (cone_cache_.size() >= options_.cone_cache_max) {
-    // Wholesale reset: cheaper and safer than LRU bookkeeping at this size,
-    // and it lets the solver shed the retired groups' variables too.
+    // Wholesale reset: cheaper and safer than LRU bookkeeping at this size.
     cone_cache_.clear();
     cell_to_cones_.clear();
-    reset_solver();
   }
 
   ConeEntry entry;
@@ -209,87 +181,11 @@ IncrementalOracle::ConeEntry& IncrementalOracle::cone_for(
   entry.cone = aig::aigmap_cone(*module_, *index_, sg.cells, roots);
   entry.cells = sg.cells;
 
-  // AIG input index -> module bit, for translating recycled patterns and
-  // harvesting SAT models.
-  std::unordered_map<uint32_t, size_t> node_to_input;
-  const auto& inputs = entry.cone.aig.inputs();
-  for (size_t i = 0; i < inputs.size(); ++i)
-    node_to_input.emplace(inputs[i], i);
-  entry.input_bits.assign(inputs.size(), SigBit());
-  for (const auto& [bit, lit] : entry.cone.bits) {
-    if (aig::lit_compl(lit))
-      continue;
-    auto in = node_to_input.find(aig::lit_node(lit));
-    if (in != node_to_input.end())
-      entry.input_bits[in->second] = bit;
-  }
-
   auto [pos, inserted] = cone_cache_.emplace(key, std::move(entry));
   (void)inserted;
   for (Cell* c : pos->second.cells)
     cell_to_cones_[c].push_back(key);
   return pos->second;
-}
-
-void IncrementalOracle::ensure_encoded(ConeEntry& entry) {
-  if (entry.encoded && entry.generation == solver_generation_)
-    return;
-  if (solver_->num_vars() > options_.solver_var_budget)
-    reset_solver();
-  entry.activation = sat::mk_lit(solver_->new_var());
-  aig::CnfEncoder enc(*solver_);
-  enc.encode(entry.cone.aig, entry.activation);
-  entry.vars = enc.vars();
-  entry.encoded = true;
-  entry.generation = solver_generation_;
-}
-
-void IncrementalOracle::build_replay_candidates(const ConeEntry& entry) {
-  replay_.clear();
-  if (patterns_.empty() || entry.input_bits.empty())
-    return;
-  const size_t n_inputs = entry.input_bits.size();
-  // Newest first: recent witnesses come from structurally nearby queries.
-  for (auto p = patterns_.rbegin(); p != patterns_.rend(); ++p) {
-    if (replay_.size() >= options_.replay_max)
-      break;
-    std::vector<uint8_t> values(n_inputs, 0);
-    size_t covered = 0;
-    for (size_t i = 0; i < n_inputs; ++i) {
-      const SigBit& bit = entry.input_bits[i];
-      if (!bit.is_wire())
-        continue;
-      auto it = p->find(bit);
-      if (it == p->end())
-        continue;
-      values[i] = it->second ? 1 : 0;
-      ++covered;
-    }
-    // A pattern sharing less than half the cone's inputs is noise: replaying
-    // it costs simulation time with little chance of being consistent.
-    if (covered * 2 < n_inputs)
-      continue;
-    replay_.push_back(std::move(values));
-  }
-}
-
-void IncrementalOracle::remember_pattern(const ConeEntry& entry,
-                                         const std::vector<uint8_t>& input_values) {
-  std::unordered_map<SigBit, bool> pattern;
-  const size_t n = std::min(entry.input_bits.size(), input_values.size());
-  for (size_t i = 0; i < n; ++i) {
-    const SigBit& bit = entry.input_bits[i];
-    if (bit.is_wire())
-      pattern.emplace(bit, input_values[i] != 0);
-  }
-  if (pattern.empty())
-    return;
-  for (const auto& existing : patterns_)
-    if (existing == pattern)
-      return;
-  patterns_.push_back(std::move(pattern));
-  if (patterns_.size() > options_.pattern_store_max)
-    patterns_.pop_front();
 }
 
 namespace {
@@ -491,39 +387,25 @@ CtrlDecision IncrementalOracle::decide(SigBit ctrl, const KnownMap& known) {
   if (!target_lit)
     return finish(key, sg, CtrlDecision::Unknown, /*definitive_unknown=*/true);
 
+  // Constraints in the caller's map order, as the reference builds them: the
+  // SAT assumptions then reach the solver in the same order in both oracles.
   std::vector<std::pair<aig::Lit, bool>> constraints;
-  for (const auto& [bit, value] : key.known) {
+  for (const auto& [bit, value] : known) {
     if (auto l = aig_lit_of(bit))
       constraints.emplace_back(*l, value);
     // Known bits outside the sub-graph cannot be asserted; dropping them is
     // sound (fewer constraints can only weaken deductions, never falsify).
   }
 
-  const int n_inputs = static_cast<int>(entry.cone.aig.num_inputs());
+  const aig::Aig& cone = entry.cone.aig;
+  const int n_inputs = static_cast<int>(cone.num_inputs());
 
-  // Stage 4a: simulation. Sim-sized cones take the baseline's exhaustive
-  // sweep unchanged — replay would only add a simulation batch to a stage
-  // that is already cheap and always conclusive. SAT-sized cones replay the
-  // recycled candidates instead of enumerating: a verified both-polarity
-  // pair proves "not forced" without any solver call, and a single verified
-  // witness still halves the SAT protocol below.
-  const bool sim_sized = n_inputs <= options_.base.sim_max_inputs;
-  sim::SimOptions sim_opts;
-  sim_opts.max_free_inputs = options_.base.sim_max_inputs;
-  sim_opts.enumerate = sim_sized;
-  sim_opts.scratch = &sim_scratch_;
-  if (!sim_sized) {
-    build_replay_candidates(entry);
-    sim_opts.recycled = replay_.empty() ? nullptr : &replay_;
-    // has_witness0/1 are enough for the SAT-call skip below; the witness
-    // *vectors* would only repeat patterns already in the recycling store,
-    // so leave capture_witnesses off and skip their allocation.
-  }
-  const sim::SimResult sr =
-      sim::exhaustive_forced_ex(entry.cone.aig, constraints, *target_lit, sim_opts);
-  stats_.patterns_recycled += sr.patterns_recycled;
-
-  if (sim_sized) {
+  // Stage 4a: exhaustive simulation, as in the from-scratch oracle.
+  if (n_inputs <= options_.base.sim_max_inputs) {
+    sim::SimOptions sim_opts;
+    sim_opts.max_free_inputs = options_.base.sim_max_inputs;
+    sim_opts.scratch = &sim_scratch_;
+    const sim::SimResult sr = sim::exhaustive_forced_ex(cone, constraints, *target_lit, sim_opts);
     ++stats_.sim_filter_kills;
     if (sr.early_exit)
       ++stats_.sim_filter_half;
@@ -537,15 +419,6 @@ CtrlDecision IncrementalOracle::decide(SigBit ctrl, const KnownMap& known) {
       // Exhaustive enumeration proved "not forced": a definitive verdict.
       return finish(key, sg, CtrlDecision::Unknown, /*definitive_unknown=*/true);
     }
-  }
-  if (sr.recycled_decisive) {
-    // Both polarities witnessed on the current cone: the from-scratch oracle
-    // would reach Unknown through SAT(s=0)/SAT(s=1) both satisfiable. The
-    // witnesses were verified against this very cone, so "not forced" is
-    // proven, not history-dependent — memoizable.
-    ++stats_.sim_filter_kills;
-    ++stats_.sim_filter_half;
-    return finish(key, sg, CtrlDecision::Unknown, /*definitive_unknown=*/true);
   }
 
   // Stage 4b: SAT. Same size threshold as the baseline. (The threshold is in
@@ -571,85 +444,37 @@ CtrlDecision IncrementalOracle::decide(SigBit ctrl, const KnownMap& known) {
   const obs::Span solve_span("oracle", "oracle.solve", "unit", unit);
   static obs::Counter& m_solves = obs::counter("oracle.solves");
   m_solves.add();
-  ensure_encoded(entry);
-  auto sat_lit = [&](aig::Lit l) {
-    return sat::mk_lit(entry.vars[aig::lit_node(l)], aig::lit_compl(l));
-  };
+  sat::Solver solver;
+  solver.set_conflict_budget(options_.base.sat_conflict_budget);
+  if (options_.base.guard != nullptr && options_.base.guard->wants_interrupts())
+    solver.set_interrupt_check([g = options_.base.guard] { return g->poll(); });
+  aig::CnfEncoder enc(solver);
+  enc.encode(cone);
 
   std::vector<sat::Lit> assumptions;
-  assumptions.push_back(entry.activation);
   for (const auto& [l, v] : constraints)
-    assumptions.push_back(v ? sat_lit(l) : ~sat_lit(l));
+    assumptions.push_back(v ? enc.lit(l) : ~enc.lit(l));
 
-  // The solver's conflict budget is cumulative; re-arm it per query so the
-  // persistent engine gets the same per-query allowance as a fresh one.
-  // Negative means unlimited and must stay the bare sentinel: adding it to
-  // the conflict count would instead produce an already-exhausted budget.
-  solver_->set_conflict_budget(options_.base.sat_conflict_budget < 0
-                                   ? options_.base.sat_conflict_budget
-                                   : static_cast<int64_t>(solver_->stats().conflicts) +
-                                         options_.base.sat_conflict_budget);
-
-  uint64_t conflicts_seen = solver_->stats().conflicts;
-  uint64_t propagations_seen = solver_->stats().propagations;
+  uint64_t conflicts_seen = 0;
+  uint64_t propagations_seen = 0;
   auto solve_with = [&](bool target_value) {
     ++stats_.sat_calls;
     std::vector<sat::Lit> a = assumptions;
-    a.push_back(target_value ? sat_lit(*target_lit) : ~sat_lit(*target_lit));
-    const sat::Result r = solver_->solve(a);
-    stats_.solver_conflicts += solver_->stats().conflicts - conflicts_seen;
+    a.push_back(target_value ? enc.lit(*target_lit) : ~enc.lit(*target_lit));
+    const sat::Result r = solver.solve(a);
+    stats_.solver_conflicts += solver.stats().conflicts - conflicts_seen;
     if (options_.base.guard != nullptr) {
-      options_.base.guard->charge_conflicts(solver_->stats().conflicts - conflicts_seen);
-      options_.base.guard->charge_propagations(solver_->stats().propagations -
-                                               propagations_seen);
+      options_.base.guard->charge_conflicts(solver.stats().conflicts - conflicts_seen);
+      options_.base.guard->charge_propagations(solver.stats().propagations - propagations_seen);
     }
-    conflicts_seen = solver_->stats().conflicts;
-    propagations_seen = solver_->stats().propagations;
-    if (r == sat::Result::Sat) {
-      std::vector<uint8_t> model(entry.cone.aig.num_inputs());
-      for (size_t i = 0; i < model.size(); ++i) {
-        const sat::Var v = entry.vars[entry.cone.aig.inputs()[i]];
-        model[i] = solver_->model_value(v) ? 1 : 0;
-      }
-      remember_pattern(entry, model);
-    }
+    conflicts_seen = solver.stats().conflicts;
+    propagations_seen = solver.stats().propagations;
     return r;
   };
 
   // The solve(true)/solve(false) decision tree below must stay in lockstep
   // with InferenceOracle::decide (sat_redundancy.cpp) — the differential
   // tests and bench_oracle's decisions_match enforce it on every change.
-  //
-  // A replay-verified witness already proves one polarity satisfiable, which
-  // makes the corresponding solve() call redundant (its Unsat outcome is
-  // impossible, and Sat/Unknown both lead to the same branch below). Caveat:
-  // when a query sits exactly at the conflict-budget edge, skipping a call
-  // leaves the remaining one more budget than the baseline's shared
-  // allowance had, and the persistent solver's learned clauses shift
-  // conflict counts — the only ways the two oracles can legitimately
-  // diverge, and only on queries whose baseline verdict was already the
-  // budget-exhausted Unknown.
-  if (sr.has_witness1) {
-    ++stats_.sat_calls_skipped;
-    const sat::Result r0 = solve_with(false);
-    if (r0 == sat::Result::Unsat) {
-      ++stats_.decided_sat;
-      return finish(key, sg, CtrlDecision::One);
-    }
-    // Sat: both polarities proven achievable (witness + model) — definitive.
-    // Unknown: the solver gave up on budget — recompute next time.
-    return finish(key, sg, CtrlDecision::Unknown, r0 == sat::Result::Sat);
-  }
-  if (sr.has_witness0) {
-    ++stats_.sat_calls_skipped;
-    const sat::Result r1 = solve_with(true);
-    if (r1 == sat::Result::Unsat) {
-      ++stats_.decided_sat;
-      return finish(key, sg, CtrlDecision::Zero);
-    }
-    return finish(key, sg, CtrlDecision::Unknown, r1 == sat::Result::Sat);
-  }
-
   const sat::Result r1 = solve_with(true);
   if (r1 == sat::Result::Unsat) {
     const sat::Result r0 = solve_with(false);

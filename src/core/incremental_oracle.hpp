@@ -1,12 +1,11 @@
 // Incremental oracle engine (§II) — amortizes work across muxtree queries.
 //
 // The from-scratch InferenceOracle re-extracts the sub-graph, re-runs
-// inference from an empty lattice, re-encodes to AIG/CNF, and constructs a
-// fresh CDCL solver on every decide() call, even though consecutive queries
-// share most of their logic cone. This engine keeps the *decision pipeline*
-// bit-identical (syntactic → inference → simulation → SAT, same options,
-// same verdicts) but reuses everything that is a pure function of inputs the
-// caches can key on:
+// inference from an empty lattice and re-blasts the cone to an AIG on every
+// decide() call, even though consecutive queries share most of their logic
+// cone. This engine keeps the *decision pipeline* bit-identical (syntactic →
+// inference → simulation → SAT, same options, same verdicts) but reuses
+// everything that is a pure function of inputs the caches can key on:
 //
 //   * decision cache  — exact (target, known-assignment) repeats, served
 //     without any re-derivation. Flushed on every walker mutation
@@ -19,23 +18,19 @@
 //     by construction; a mutated cell changes its content hash and simply
 //     stops matching. Walker notifications additionally evict entries
 //     eagerly (bookkeeping + memory hygiene).
-//   * persistent SAT  — one CDCL solver per module. Each cone is encoded
-//     once as an activation-literal clause group (see CnfEncoder) and
-//     queried under assumptions; invalidated groups are retired with a unit
-//     ¬activation clause (`dropped_constraints`), and the solver itself is
-//     rebuilt when variable garbage accumulates (`engine_resets`).
-//   * pattern store   — satisfying assignments (sim witnesses and SAT
-//     models) are kept as module-bit valuations and replayed first on later
-//     queries; a verified both-polarity replay proves "not forced" without
-//     enumeration or SAT (see sim::exhaustive_forced_ex).
+//
+// Stage 4 then runs exactly as in InferenceOracle::decide on the cached cone:
+// exhaustive simulation for sim-sized cones, and otherwise a fresh CDCL
+// solver per query over that cone alone. The oracle keeps no solver state
+// between queries. A persistent solver with activation-literal clause groups
+// and replayed SAT models was tried and removed: on the flow and bench_oracle
+// workloads every cone that reaches stage 4 is small enough for exhaustive
+// simulation, so that machinery never ran.
 //
 // Correctness bar: decide() must return bit-identical CtrlDecisions to
-// InferenceOracle on every query, including after walker mutations —
-// enforced by tests/test_incremental_oracle.cpp and bench_oracle's
-// decisions_match differential. The one documented exception: queries
-// sitting exactly at the SAT conflict-budget edge, where the persistent
-// solver's learned clauses (or a witness-skipped call's budget headroom) can
-// resolve a query the baseline gave up on as Unknown.
+// InferenceOracle on every query, including after walker mutations and at
+// the SAT conflict-budget edge — enforced by tests/test_incremental_oracle.cpp
+// and bench_oracle's decisions_match differential.
 #pragma once
 
 #include "aig/aigmap.hpp"
@@ -43,11 +38,9 @@
 #include "core/sat_redundancy.hpp"
 #include "core/subgraph.hpp"
 #include "opt/muxtree_walker.hpp"
-#include "sat/solver.hpp"
 #include "util/hashing.hpp"
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -58,9 +51,6 @@ struct IncrementalOracleOptions {
   SatRedundancyOptions base;        ///< same decision knobs as InferenceOracle
   size_t cone_cache_max = 4096;     ///< cone entries before a wholesale reset
   size_t decision_cache_max = 131072; ///< cached decisions before a wholesale flush
-  size_t pattern_store_max = 64;    ///< recycled patterns kept (FIFO)
-  size_t replay_max = 64;           ///< candidates replayed per query (one sim word)
-  int solver_var_budget = 200000;   ///< persistent solver rebuilt above this
 };
 
 struct IncrementalOracleStats {
@@ -82,11 +72,7 @@ struct IncrementalOracleStats {
   size_t skipped_halt = 0;        ///< queries answered Unknown after a halt, unsolved
   size_t skipped_quarantine = 0;  ///< queries answered Unknown for a quarantined target
   uint64_t solver_conflicts = 0;
-  size_t sat_calls_skipped = 0;   ///< solve() calls a replayed witness made redundant
-  size_t patterns_recycled = 0;   ///< replayed candidates consistent with constraints
   size_t cells_remapped = 0;      ///< walker mutation/removal notifications
-  size_t engine_resets = 0;       ///< persistent solver rebuilds
-  size_t dropped_constraints = 0; ///< clause groups retired via ¬activation
   size_t portable_hits = 0;    ///< persistent-memo hits (service warm cache)
   size_t portable_misses = 0;  ///< memo consultations that fell through
   size_t portable_inserts = 0; ///< definitive verdicts recorded into the memo
@@ -113,11 +99,11 @@ public:
   /// by the parallel engine for other regions' removals.
   void notify_external_rewire(const std::vector<rtlil::SigBit>& bits) override;
 
-  /// Drop every cache and the persistent solver. The oracle only observes
-  /// mutations the walker notifies it about; if anything else rewrites the
-  /// module between optimize_muxtrees runs (opt_expr, opt_clean, ...), call
-  /// this before reusing the oracle on that module — begin_module alone
-  /// cannot tell an externally-mutated module from an unchanged one.
+  /// Drop every cache. The oracle only observes mutations the walker
+  /// notifies it about; if anything else rewrites the module between
+  /// optimize_muxtrees runs (opt_expr, opt_clean, ...), call this before
+  /// reusing the oracle on that module — begin_module alone cannot tell an
+  /// externally-mutated module from an unchanged one.
   void reset() { full_reset(); }
 
   const IncrementalOracleStats& stats() const noexcept { return stats_; }
@@ -140,26 +126,16 @@ private:
     }
   };
 
-  /// One cached cone: the AIG encoding plus (lazily) its clause group in the
-  /// persistent solver, generation-tagged so a solver rebuild invalidates it.
+  /// One cached cone: the AIG encoding plus the cells it was built from.
   struct ConeEntry {
     aig::AigMap cone;
-    std::vector<rtlil::SigBit> input_bits; ///< AIG input index -> module bit
-    std::vector<rtlil::Cell*> cells;       ///< for eager eviction bookkeeping
-    bool encoded = false;
-    uint64_t generation = 0;
-    sat::Lit activation{};
-    std::vector<sat::Var> vars; ///< AIG node -> solver var (snapshot)
+    std::vector<rtlil::Cell*> cells; ///< for eager eviction bookkeeping
   };
 
   ConeEntry& cone_for(const Subgraph& sg, rtlil::SigBit ctrl,
                       const std::vector<rtlil::SigBit>& known_bits);
-  void ensure_encoded(ConeEntry& entry);
-  void build_replay_candidates(const ConeEntry& entry);
-  void remember_pattern(const ConeEntry& entry, const std::vector<uint8_t>& input_values);
   void invalidate_cell(rtlil::Cell* cell);
   void invalidate_decision(uint64_t id);
-  void reset_solver();
   void full_reset();
   /// Cache a decision and return it. `definitive_unknown` marks an Unknown
   /// that is a pure function of the salted cone (exhaustive sim found no
@@ -221,12 +197,6 @@ private:
 
   std::unordered_map<Hash128, ConeEntry, Hash128Hasher> cone_cache_;
   std::unordered_map<const rtlil::Cell*, std::vector<Hash128>> cell_to_cones_;
-
-  std::unique_ptr<sat::Solver> solver_;
-  uint64_t solver_generation_ = 0;
-
-  std::deque<std::unordered_map<rtlil::SigBit, bool>> patterns_;
-  std::vector<std::vector<uint8_t>> replay_; ///< per-query candidate buffer
 };
 
 } // namespace smartly::core

@@ -31,11 +31,8 @@ namespace smartly::core {
 /// Implementations must be thread-safe: the parallel sweep engine's
 /// per-region oracles share one memo across workers.
 ///
-/// Lockstep caveat: the from-scratch InferenceOracle never consults a memo,
-/// so memo-enabled runs extend the documented budget-edge exception — a hit
-/// can resolve a query whose fresh recomputation would exhaust the per-query
-/// conflict budget into Unknown. The differential gates (bench_oracle) run
-/// memo-less.
+/// The from-scratch InferenceOracle never consults a memo; the differential
+/// gates (bench_oracle) run memo-less.
 class PortableDecisionMemo {
 public:
   virtual ~PortableDecisionMemo() = default;

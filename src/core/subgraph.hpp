@@ -35,9 +35,9 @@ struct Subgraph {
   /// Order-insensitive structural fingerprint of the cell set: cell types,
   /// parameters, and every port's canonical bits. Two sub-graphs fingerprint
   /// equal iff they contain content-identical cells over the same wires, so
-  /// the fingerprint content-addresses derived artifacts (AIG encodings, CNF
-  /// clause groups) across queries — no explicit invalidation needed: a
-  /// mutated cell changes its content and therefore the key.
+  /// the fingerprint content-addresses derived artifacts (AIG encodings)
+  /// across queries — no explicit invalidation needed: a mutated cell
+  /// changes its content and therefore the key.
   Hash128 fingerprint(const rtlil::SigMap& sigmap) const;
 };
 

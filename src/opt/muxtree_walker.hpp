@@ -70,8 +70,7 @@ public:
   /// after rewriting a cell's ports/params mid-sweep, and notify_cell_removed
   /// when it schedules a cell for removal (the cell stays in the module until
   /// the sweep's journal is applied at the barrier). Incremental oracles use
-  /// these to invalidate caches and retire solver clause groups; the
-  /// from-scratch oracles ignore them.
+  /// these to invalidate caches; the from-scratch oracles ignore them.
   virtual void notify_cell_mutated(rtlil::Cell* cell) { (void)cell; }
   virtual void notify_cell_removed(rtlil::Cell* cell) { (void)cell; }
 

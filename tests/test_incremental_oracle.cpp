@@ -3,7 +3,7 @@
 // every query — including after the walker mutates cells mid-run, which is
 // where stale cone/decision-cache entries would show. Plus unit coverage for
 // the supporting pieces: InferenceEngine::reset, exhaustive_forced_ex's
-// early-exit accounting and pattern recycling, and clause-group retirement.
+// early-exit accounting, and cone re-derivation after a mutation.
 #include "core/incremental_oracle.hpp"
 
 #include "benchgen/public_bench.hpp"
@@ -144,17 +144,22 @@ TEST(IncrementalOracleDiff, RandomCircuits) {
 }
 
 TEST(IncrementalOracleDiff, SatHeavyConfiguration) {
-  // sim_max_inputs = 0 forces every cone-stage query through the persistent
-  // solver and its clause groups (and exercises pattern recycling).
+  // sim_max_inputs = 0 forces every cone-stage query through SAT.
   core::SatRedundancyOptions opts;
   opts.sim_max_inputs = 0;
   for (const auto& circuit : benchgen::public_suite()) {
-    if (circuit.name == "wb_conmax")
-      expect_identical_decisions(circuit.verilog, opts);
+    if (circuit.name != "wb_conmax")
+      continue;
+    expect_identical_decisions(circuit.verilog, opts);
+    // A one-conflict budget: both oracles must still agree. (wb_conmax's
+    // cones settle within one conflict, so EveryConflictBudgetUpToTheProof
+    // below is the test that actually crosses the budget edge.)
+    core::SatRedundancyOptions edge = opts;
+    edge.sat_conflict_budget = 1;
+    expect_identical_decisions(circuit.verilog, edge);
   }
-  // Unlimited conflict budget (-1) must stay the bare sentinel when the
-  // persistent solver re-arms per query — adding it to the running conflict
-  // count would turn "unlimited" into "already exhausted".
+  // Unlimited conflict budget (-1) must reach the solver as the bare
+  // sentinel in both oracles.
   opts.sat_conflict_budget = -1;
   expect_identical_decisions(R"(
     module top(s, r, a, b, c, y);
@@ -163,6 +168,49 @@ TEST(IncrementalOracleDiff, SatHeavyConfiguration) {
     endmodule
   )",
                              opts);
+}
+
+TEST(IncrementalOracleDiff, EveryConflictBudgetUpToTheProof) {
+  // ctrl = s & ((a+b)+c == a+(b+c)): forced One under s=1, but only after a
+  // few hundred conflicts. No public circuit reaches the budget edge, so
+  // sweep every budget from 0 to the unlimited proof's conflict count: the
+  // verdict flips from Unknown to One along the way, and the two oracles
+  // must agree at each step.
+  Fixture f;
+  Wire* s = f.in("s");
+  Wire* a = f.in("a", 3);
+  Wire* b = f.in("b", 3);
+  Wire* c = f.in("c", 3);
+  const SigSpec lhs = f.mod->Add(f.mod->Add(SigSpec(a), SigSpec(b), 3), SigSpec(c), 3);
+  const SigSpec rhs = f.mod->Add(SigSpec(a), f.mod->Add(SigSpec(b), SigSpec(c), 3), 3);
+  const SigSpec ctrl = f.mod->And(SigSpec(s), f.mod->Eq(lhs, rhs));
+  f.mod->connect(SigSpec(f.out("y")), ctrl);
+  const KnownMap known{{SigBit(s, 0), true}};
+
+  auto decide_both = [&](int64_t budget, uint64_t* conflicts) {
+    core::SatRedundancyOptions opts;
+    opts.use_inference = false;
+    opts.sim_max_inputs = 0;
+    opts.sat_conflict_budget = budget;
+    InferenceOracle baseline(opts);
+    IncrementalOracleOptions incr_opts;
+    incr_opts.base = opts;
+    IncrementalOracle incremental(incr_opts);
+    baseline.begin_module(*f.mod);
+    incremental.begin_module(*f.mod);
+    const CtrlDecision d = baseline.decide(ctrl[0], known);
+    EXPECT_EQ(incremental.decide(ctrl[0], known), d) << "budget " << budget;
+    if (conflicts)
+      *conflicts = baseline.stats().solver_conflicts;
+    return d;
+  };
+
+  uint64_t proof_conflicts = 0;
+  ASSERT_EQ(decide_both(-1, &proof_conflicts), CtrlDecision::One);
+  ASSERT_GT(proof_conflicts, 1u);
+  EXPECT_EQ(decide_both(0, nullptr), CtrlDecision::Unknown);
+  for (int64_t budget = 1; budget <= static_cast<int64_t>(proof_conflicts); ++budget)
+    decide_both(budget, nullptr);
 }
 
 TEST(IncrementalOracleInvalidation, PublicResetAfterExternalMutation) {
@@ -323,37 +371,6 @@ TEST(IncrementalOracleCaches, SameStructureHitsConeCache) {
   EXPECT_EQ(oracle.stats().cone_cache_misses, 1u);
 }
 
-TEST(IncrementalOracleCaches, SatModelsAreRecycledAcrossQueries) {
-  // sim_max_inputs = 0: the cone stage goes straight to SAT. The first query
-  // (target eq, known s=1) is undecided, so both SAT calls return models —
-  // each satisfying s=1. The second query (target ctrl = s|eq, same known)
-  // replays those models: both are consistent and witness ctrl=1, which
-  // makes the SAT(ctrl=1) call redundant — one solve instead of two.
-  Fixture f;
-  Wire* s = f.in("s");
-  Wire* a = f.in("a", 4);
-  Wire* b = f.in("b", 4);
-  const SigSpec eq = f.mod->Eq(SigSpec(a), SigSpec(b));
-  const SigSpec ctrl = f.mod->Or(SigSpec(s), eq);
-  f.mod->connect(SigSpec(f.out("y")), ctrl);
-
-  IncrementalOracleOptions opts;
-  opts.base.use_inference = false;
-  opts.base.sim_max_inputs = 0;
-  IncrementalOracle oracle(opts);
-  oracle.begin_module(*f.mod);
-
-  const KnownMap known{{SigBit(s, 0), true}};
-  EXPECT_EQ(oracle.decide(eq[0], known), CtrlDecision::Unknown);
-  const size_t sat_calls_first = oracle.stats().sat_calls;
-  EXPECT_EQ(sat_calls_first, 2u);
-
-  EXPECT_EQ(oracle.decide(ctrl[0], known), CtrlDecision::One);
-  EXPECT_GE(oracle.stats().patterns_recycled, 2u);
-  EXPECT_EQ(oracle.stats().sat_calls_skipped, 1u);
-  EXPECT_EQ(oracle.stats().sat_calls, sat_calls_first + 1);
-}
-
 // --- InferenceEngine::reset --------------------------------------------------
 
 TEST(InferenceEngineReset, ReusedEngineMatchesFreshEngine) {
@@ -427,45 +444,11 @@ TEST(ExhaustiveForcedEx, EarlyExitSurfacedForNonForcedTargets) {
   const sim::SimResult r = sim::exhaustive_forced_ex(g, {}, acc, opts);
   EXPECT_EQ(r.forced, sim::Forced::None);
   EXPECT_TRUE(r.early_exit);
-  EXPECT_FALSE(r.exhausted);
 }
 
-TEST(ExhaustiveForcedEx, RecycledPatternsDecideWithoutEnumeration) {
-  MuxAig m;
-  // Candidates covering both polarities of y (= s ? a : b).
-  const std::vector<std::vector<uint8_t>> recycled = {
-      {1, 1, 0}, // s=1,a=1 -> y=1
-      {1, 0, 1}, // s=1,a=0 -> y=0
-  };
-  sim::SimOptions opts;
-  opts.recycled = &recycled;
-  opts.enumerate = false; // SAT-sized cone: replay only
-  opts.capture_witnesses = true;
-  const sim::SimResult r = sim::exhaustive_forced_ex(m.g, {{m.s, true}}, m.y, opts);
-  EXPECT_EQ(r.forced, sim::Forced::None);
-  EXPECT_TRUE(r.recycled_decisive);
-  EXPECT_EQ(r.patterns_recycled, 2u);
-  EXPECT_TRUE(r.has_witness0);
-  EXPECT_TRUE(r.has_witness1);
-}
+// --- cone re-derivation ------------------------------------------------------
 
-TEST(ExhaustiveForcedEx, InconsistentRecycledPatternsAreIgnored) {
-  MuxAig m;
-  // Both candidates violate the s=1 constraint: nothing recycled, and the
-  // exhaustive verdict (forced One under s=1,a=1) is untouched.
-  const std::vector<std::vector<uint8_t>> recycled = {{0, 1, 0}, {0, 0, 1}};
-  sim::SimOptions opts;
-  opts.recycled = &recycled;
-  const sim::SimResult r =
-      sim::exhaustive_forced_ex(m.g, {{m.s, true}, {m.a, true}}, m.y, opts);
-  EXPECT_EQ(r.forced, sim::Forced::One);
-  EXPECT_EQ(r.patterns_recycled, 0u);
-  EXPECT_TRUE(r.exhausted);
-}
-
-// --- clause-group retirement -------------------------------------------------
-
-TEST(IncrementalOracleSolver, InvalidatedConeRetiresClauseGroup) {
+TEST(IncrementalOracleSolver, InvalidatedConeIsReDerived) {
   Fixture f;
   Wire* s = f.in("s");
   Wire* a = f.in("a", 4);
@@ -476,13 +459,13 @@ TEST(IncrementalOracleSolver, InvalidatedConeRetiresClauseGroup) {
 
   IncrementalOracleOptions opts;
   opts.base.use_inference = false;
-  opts.base.sim_max_inputs = 0; // force the persistent-solver path
+  opts.base.sim_max_inputs = 0; // force the SAT path
   IncrementalOracle oracle(opts);
   oracle.begin_module(*f.mod);
   EXPECT_EQ(oracle.decide(ctrl[0], {{SigBit(s, 0), true}}), CtrlDecision::One);
   EXPECT_GT(oracle.stats().sat_calls, 0u);
 
-  // Mutate the or-cell: its clause group must be retired, and the re-derived
+  // Mutate the or-cell: its cached cone must be evicted, and the re-derived
   // decision must reflect the new structure (ctrl == eq now).
   rtlil::Cell* or_cell = nullptr;
   for (const auto& c : f.mod->cells())
@@ -494,6 +477,5 @@ TEST(IncrementalOracleSolver, InvalidatedConeRetiresClauseGroup) {
   or_cell->set_port(rtlil::Port::A, sa);
   oracle.notify_cell_mutated(or_cell);
 
-  EXPECT_GE(oracle.stats().dropped_constraints, 1u);
   EXPECT_EQ(oracle.decide(ctrl[0], {{SigBit(s, 0), true}}), CtrlDecision::Unknown);
 }

@@ -1,7 +1,7 @@
 // Parallel deterministic sweep engine: thread-count determinism (byte-equal
 // netlists, identical stats), decision differentials against the serial
-// engine, region-partition safety invariants, incremental-index equivalence,
-// and a TSan-friendly work-stealing pool stress test.
+// engine, region-partition safety invariants, and incremental-index
+// equivalence. The work-stealing pool's own tests live in test_thread_pool.
 #include "backend/write_rtlil.hpp"
 #include "benchgen/public_bench.hpp"
 #include "benchgen/random_circuit.hpp"
@@ -12,12 +12,10 @@
 #include "opt/parallel_sweep.hpp"
 #include "opt/pipeline.hpp"
 #include "opt/region_partition.hpp"
-#include "util/thread_pool.hpp"
 #include "verilog/elaborate.hpp"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <set>
 #include <unordered_set>
 
@@ -266,64 +264,4 @@ TEST(ParallelSweep, RequiresOracleFactory) {
   rtlil::Design d;
   rtlil::Module* m = d.add_module("m");
   EXPECT_THROW(opt::parallel_sweep(*m, {}), std::logic_error);
-}
-
-// --- thread pool ------------------------------------------------------------
-
-TEST(ThreadPool, RunsEveryTaskExactlyOnce) {
-  util::ThreadPool pool(4);
-  constexpr size_t kTasks = 10000;
-  std::vector<std::atomic<int>> ran(kTasks);
-  pool.run_batch(kTasks, [&](int worker, size_t task) {
-    EXPECT_GE(worker, 0);
-    EXPECT_LT(worker, 4);
-    ran[task].fetch_add(1, std::memory_order_relaxed);
-  });
-  for (size_t i = 0; i < kTasks; ++i)
-    EXPECT_EQ(ran[i].load(), 1) << "task " << i;
-}
-
-TEST(ThreadPool, StressManyWorkersHammerOneQueue) {
-  // TSan target: 8 workers stealing from each other across repeated batches
-  // of tiny tasks, with a shared accumulation protected only by the pool's
-  // own synchronization (slot-per-task writes + the barrier).
-  util::ThreadPool pool(8);
-  constexpr size_t kTasks = 2000;
-  std::vector<uint64_t> out(kTasks);
-  for (int round = 0; round < 20; ++round) {
-    std::fill(out.begin(), out.end(), 0);
-    pool.run_batch(kTasks, [&](int, size_t task) { out[task] = hash_mix(task + 1); });
-    // Read results on the dispatching thread after the barrier: any missing
-    // happens-before edge between a worker's write and this read is a data
-    // race TSan will flag.
-    for (size_t i = 0; i < kTasks; ++i)
-      ASSERT_EQ(out[i], hash_mix(i + 1));
-  }
-}
-
-TEST(ThreadPool, SingleThreadDegeneratesToLoop) {
-  util::ThreadPool pool(1);
-  EXPECT_EQ(pool.size(), 1);
-  std::vector<size_t> order;
-  pool.run_batch(16, [&](int worker, size_t task) {
-    EXPECT_EQ(worker, 0);
-    order.push_back(task);
-  });
-  ASSERT_EQ(order.size(), 16u);
-  for (size_t i = 0; i < order.size(); ++i)
-    EXPECT_EQ(order[i], i); // in-order on the calling thread
-}
-
-TEST(ThreadPool, ZeroTasksAndReuse) {
-  util::ThreadPool pool(3);
-  pool.run_batch(0, [&](int, size_t) { FAIL(); });
-  std::atomic<size_t> count{0};
-  pool.run_batch(7, [&](int, size_t) { count.fetch_add(1); });
-  pool.run_batch(5, [&](int, size_t) { count.fetch_add(1); });
-  EXPECT_EQ(count.load(), 12u);
-}
-
-TEST(ThreadPool, ResolveThreadCount) {
-  EXPECT_EQ(util::resolve_thread_count(3), 3);
-  EXPECT_GE(util::resolve_thread_count(0), 1);
 }

@@ -106,9 +106,10 @@ TEST(CutEnum, LeafBoundsAndOrdering) {
     // another kept cut.
     for (size_t i = 0; i + 1 < set.size(); ++i)
       for (size_t j = 0; j + 1 < set.size(); ++j)
-        if (i != j)
+        if (i != j) {
           EXPECT_FALSE(set[i].subset_of(set[j]))
               << "cut " << i << " dominates kept cut " << j << " at node " << n;
+        }
   }
 }
 

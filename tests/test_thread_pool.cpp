@@ -2,17 +2,22 @@
 // hardware_concurrency() is allowed to return 0, and neither
 // resolve_thread_count nor the pool itself may ever end up with zero
 // workers — a daemon that silently sized its pool to zero would accept
-// jobs and run nothing.
+// jobs and run nothing. Also the batch contract every parallel engine
+// relies on, and a TSan-friendly work-stealing stress test.
 #include "util/thread_pool.hpp"
+
+#include "util/hashing.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <stdexcept>
 #include <vector>
 
 namespace {
 
+using namespace smartly;
 using smartly::util::ThreadPool;
 using smartly::util::resolve_thread_count;
 
@@ -39,6 +44,7 @@ TEST(ThreadPoolSizing, PoolClampsDegenerateSizesToOne) {
 
 TEST(ThreadPoolBatches, SingleThreadRunsEveryTaskInOrder) {
   ThreadPool pool(1);
+  EXPECT_EQ(pool.size(), 1);
   std::vector<size_t> order;
   pool.run_batch(16, [&](int worker, size_t task) {
     EXPECT_EQ(worker, 0); // degenerate pool: plain loop on the caller
@@ -80,6 +86,29 @@ TEST(ThreadPoolBatches, PoolIsReusableAfterAThrowingBatch) {
 TEST(ThreadPoolBatches, EmptyBatchIsANoOp) {
   ThreadPool pool(3);
   pool.run_batch(0, [&](int, size_t) { FAIL() << "no task should run"; });
+
+  // An empty batch leaves the pool ready for a normal one.
+  std::atomic<size_t> ran{0};
+  pool.run_batch(7, [&](int, size_t) { ran.fetch_add(1, std::memory_order_relaxed); });
+  EXPECT_EQ(ran.load(), 7u);
+}
+
+TEST(ThreadPool, StressManyWorkersHammerOneQueue) {
+  // TSan target: 8 workers stealing from each other across repeated batches
+  // of tiny tasks, with a shared accumulation protected only by the pool's
+  // own synchronization (slot-per-task writes + the barrier).
+  util::ThreadPool pool(8);
+  constexpr size_t kTasks = 2000;
+  std::vector<uint64_t> out(kTasks);
+  for (int round = 0; round < 20; ++round) {
+    std::fill(out.begin(), out.end(), 0);
+    pool.run_batch(kTasks, [&](int, size_t task) { out[task] = hash_mix(task + 1); });
+    // Read results on the dispatching thread after the barrier: any missing
+    // happens-before edge between a worker's write and this read is a data
+    // race TSan will flag.
+    for (size_t i = 0; i < kTasks; ++i)
+      ASSERT_EQ(out[i], hash_mix(i + 1));
+  }
 }
 
 } // namespace
