@@ -2,7 +2,10 @@
 """Summarize a Chrome trace-event JSON produced by --trace-out.
 
 Prints a top-10 table of spans aggregated by name (total duration, call
-count, mean), plus the trace extent. With --gate, also sanity-checks the
+count, mean, max, self time), plus the trace extent. A span's self time is
+its duration minus that of its direct children, nesting spans per thread id
+as Chrome's viewer does; a parent with a large self_ms hides untraced work.
+The self_ms column is informational. With --gate, also sanity-checks the
 trace: the longest single span (the tool's root span) must cover at least
 80% of the trace extent — i.e. total traced time ~= wall time within 20%.
 CI runs the gate over the four engine-smoke traces so a refactor that
@@ -27,6 +30,29 @@ def load_events(path):
     return events
 
 
+def self_times(events):
+    """Per-name self time (us): each 'X' span's duration minus the part of it
+    covered by its direct children on the same (pid, tid)."""
+    by_thread = defaultdict(list)
+    for e in events:
+        if e.get("ph") == "X" and e.get("ts") is not None:
+            by_thread[(e.get("pid"), e.get("tid"))].append(
+                (float(e["ts"]), float(e.get("dur", 0)), e.get("name", "?")))
+    self_us = defaultdict(float)
+    for spans in by_thread.values():
+        spans.sort(key=lambda s: (s[0], -s[1]))  # parents before children
+        stack = []  # [end_us, name] of the open ancestors
+        for ts, dur, name in spans:
+            while stack and stack[-1][0] <= ts:
+                stack.pop()
+            self_us[name] += dur
+            if stack:
+                parent_end, parent_name = stack[-1]
+                self_us[parent_name] -= min(dur, parent_end - ts)
+            stack.append((ts + dur, name))
+    return self_us
+
+
 def summarize(events):
     """Aggregate complete ('X') events by name; return rows + extent."""
     totals = defaultdict(lambda: [0.0, 0, 0.0])  # name -> [total_us, count, max_us]
@@ -45,8 +71,9 @@ def summarize(events):
         row[0] += dur
         row[1] += 1
         row[2] = max(row[2], dur)
+    self_us = self_times(events)
     rows = sorted(
-        ((name, tot, cnt, mx) for name, (tot, cnt, mx) in totals.items()),
+        ((name, tot, cnt, mx, self_us[name]) for name, (tot, cnt, mx) in totals.items()),
         key=lambda r: -r[1],
     )
     extent = (t_max - t_min) if t_min is not None else 0.0
@@ -76,10 +103,11 @@ def main():
     print(f"{args.trace}: {spans} spans, {instants} instants, "
           f"extent {extent / 1e6:.4f}s")
     if rows:
-        print(f"{'span':<28} {'total_ms':>10} {'count':>7} {'mean_ms':>9} {'max_ms':>9}")
-        for name, total, count, mx in rows[: args.top]:
+        print(f"{'span':<28} {'total_ms':>10} {'count':>7} {'mean_ms':>9} {'max_ms':>9} "
+              f"{'self_ms':>10}")
+        for name, total, count, mx, self_total in rows[: args.top]:
             print(f"{name:<28} {total / 1e3:>10.3f} {count:>7} "
-                  f"{total / count / 1e3:>9.3f} {mx / 1e3:>9.3f}")
+                  f"{total / count / 1e3:>9.3f} {mx / 1e3:>9.3f} {self_total / 1e3:>10.3f}")
 
     if args.gate:
         if not rows:

@@ -231,12 +231,16 @@ bool better_candidate(const BitCandidate& a, const BitCandidate& b) {
 /// Predicted-dead fanin cone of `root` (the RTLIL MFFC): cells none of whose
 /// output bits reach an output port or a reader outside the dying set. The
 /// cone is bounded (depth/size) and stops at `keep_alive` (leaf and reuse
-/// drivers the replacement keeps reading) and `excluded` (cells an earlier
-/// plan already claimed or counted). Removal is left to opt_clean; this set
-/// only feeds the gain accounting, so a miss costs quality, not correctness.
+/// drivers the replacement keeps reading), `claimed` (roots an earlier plan
+/// of the round rewrote) and `counted_dead` (cells an earlier plan already
+/// credited). The two sets are tested in place, never merged: they grow with
+/// every commit of the round, so a merged copy per root would make the
+/// commit loop quadratic. Removal is left to opt_clean; this set only feeds
+/// the gain accounting, so a miss costs quality, not correctness.
 std::vector<Cell*> predicted_mffc(const rtlil::NetlistIndex& index, Cell* root,
                                   const std::unordered_set<Cell*>& keep_alive,
-                                  const std::unordered_set<Cell*>& excluded) {
+                                  const std::unordered_set<Cell*>& claimed,
+                                  const std::unordered_set<Cell*>& counted_dead) {
   constexpr size_t kMaxCone = 64;
   constexpr int kMaxDepth = 6;
   std::vector<Cell*> cone;
@@ -253,7 +257,7 @@ std::vector<Cell*> predicted_mffc(const rtlil::NetlistIndex& index, Cell* root,
             continue;
           Cell* d = index.driver(b);
           if (!d || d->type() == CellType::Dff || seen.count(d) || keep_alive.count(d) ||
-              excluded.count(d))
+              claimed.count(d) || counted_dead.count(d))
             continue;
           seen.insert(d);
           cone.push_back(d);
@@ -363,8 +367,12 @@ RewriteStats rewrite_sweep(rtlil::Module& module, const RewriteOptions& options)
   const obs::Span engine_span("rewrite", "rewrite.sweep", "cells",
                               static_cast<uint64_t>(module.cell_count()));
   RewriteStats stats;
-  rtlil::NetlistIndex index(module);
-  index.sigmap().flatten();
+  rtlil::NetlistIndex index = [&] {
+    const obs::Span s("rewrite", "rewrite.index");
+    rtlil::NetlistIndex built(module);
+    built.sigmap().flatten();
+    return built;
+  }();
   util::ThreadPool pool(util::resolve_thread_count(options.threads));
   stats.threads_used = pool.size();
 
@@ -897,9 +905,8 @@ RewriteStats rewrite_sweep(rtlil::Module& module, const RewriteOptions& options)
             if (Cell* d = index.driver(bit))
               keep_alive.insert(d);
       }
-      std::unordered_set<Cell*> excluded(claimed);
-      excluded.insert(counted_dead.begin(), counted_dead.end());
-      const std::vector<Cell*> dead = predicted_mffc(index, root, keep_alive, excluded);
+      const std::vector<Cell*> dead =
+          predicted_mffc(index, root, keep_alive, claimed, counted_dead);
       const long gain = 1 + static_cast<long>(dead.size()) - static_cast<long>(new_cells);
       // Cell-neutral commits must still shrink the AIG (the paper's area
       // metric): the summed per-bit estimates gate out pure churn.
@@ -1004,6 +1011,7 @@ RewriteStats rewrite_sweep(rtlil::Module& module, const RewriteOptions& options)
       // Applied even on a faulted round: the committed prefix's cells and
       // connects are already in the module, and the index must follow them
       // for the post-halt consistency check.
+      const obs::Span s("rewrite", "rewrite.apply");
       opt::apply_sweep_journal(module, index, journal);
       journal.clear();
     }
@@ -1020,8 +1028,11 @@ RewriteStats rewrite_sweep(rtlil::Module& module, const RewriteOptions& options)
   }
 
   stats.npn_classes = classes_seen.size();
-  if (options.check_index && !rtlil::index_consistent(module, index))
-    throw std::logic_error("rewrite: incremental NetlistIndex diverged from rebuild");
+  if (options.check_index) {
+    const obs::Span s("rewrite", "rewrite.index");
+    if (!rtlil::index_consistent(module, index))
+      throw std::logic_error("rewrite: incremental NetlistIndex diverged from rebuild");
+  }
 
   // Deterministic totals from the stats struct (identical at every thread
   // count), published once per sweep.

@@ -1,13 +1,16 @@
 // DAG-aware cut-rewriting engine: cut-enumeration invariants (leaf bounds,
 // dominated-cut pruning, determinism), replacement-library correctness over
 // every 4-input function, factoring rewrites with CEC, randomized
-// rewrite-then-CEC properties, and thread-count determinism (also under
-// seeded fault schedules; SMARTLY_FAULT_SEED_OFFSET shifts them, as in
+// rewrite-then-CEC properties, pinned commit accounting on a generated
+// scale netlist, and thread-count determinism (also under seeded fault
+// schedules; SMARTLY_FAULT_SEED_OFFSET shifts them, as in
 // tests/test_faults.cpp).
 #include "aig/aigmap.hpp"
 #include "backend/write_rtlil.hpp"
+#include "backend/write_verilog.hpp"
 #include "benchgen/public_bench.hpp"
 #include "benchgen/random_circuit.hpp"
+#include "benchgen/scale.hpp"
 #include "cec/cec.hpp"
 #include "core/smartly_pass.hpp"
 #include "opt/pipeline.hpp"
@@ -59,6 +62,16 @@ rewrite::RewriteOptions serial_options() {
 void expect_equivalent(const Module& gold, const Module& gate, const char* label) {
   const auto r = cec::check_equivalence(gold, gate);
   EXPECT_TRUE(r.equivalent) << label << ": differs at " << r.failing_output;
+}
+
+/// FNV-1a 64: a hash of netlist text that is the same on every platform.
+uint64_t fnv1a(const std::string& text) {
+  uint64_t h = 1469598103934665603ull;
+  for (const unsigned char c : text) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
 }
 
 uint64_t seed_offset() {
@@ -291,6 +304,31 @@ TEST(RewriteEngine, DeterministicAcrossThreadCounts) {
             << "seed " << seed << " threads " << threads;
       }
     }
+  }
+}
+
+// A commit-heavy generated netlist (the scale_industrial family at ~20k AIG
+// nodes) pins the full commit accounting and the output netlist, so a change
+// to the commit loop's bookkeeping that alters any decision shows here.
+TEST(RewriteEngine, ScaleNetlistStatsPinned) {
+  rtlil::Design base;
+  benchgen::ScaleSpec spec;
+  spec.seed = 1;
+  spec.target_aig_nodes = 20000;
+  benchgen::scale_industrial_netlist(base, "scale_industrial_20k", spec);
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    auto design = rtlil::clone_design(base);
+    rewrite::RewriteOptions options;
+    options.threads = threads;
+    const rewrite::RewriteStats stats = rewrite::rewrite_sweep(*design->top(), options);
+    EXPECT_EQ(stats.rewrites, 797u);
+    EXPECT_EQ(stats.predicted_dead, 363u);
+    EXPECT_EQ(stats.cells_added, 512u);
+    EXPECT_EQ(stats.plans_rejected, 2456u);
+    EXPECT_EQ(stats.plans_noop, 0u);
+    EXPECT_EQ(stats.zero_gain_rewrites, 195u);
+    EXPECT_EQ(fnv1a(backend::write_verilog(*design->top())), 4827933252903695379ull);
   }
 }
 
