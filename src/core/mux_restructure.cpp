@@ -1,5 +1,6 @@
 #include "core/mux_restructure.hpp"
 
+#include "obs/trace.hpp"
 #include "rtlil/topo.hpp"
 #include "util/log.hpp"
 
@@ -41,32 +42,42 @@ struct TreeNode {
   CtrlFunc ctrl;
 };
 
+NetlistIndex traced_index(const Module& module) {
+  const obs::Span span("rebuild", "rebuild.index");
+  return NetlistIndex(module);
+}
+
 class Restructurer {
 public:
   Restructurer(Module& module, const MuxRestructureOptions& options,
                MuxRestructureStats& stats)
-      : module_(module), options_(options), stats_(stats), index_(module) {}
+      : module_(module), options_(options), stats_(stats), index_(traced_index(module)) {}
 
   bool run_once() {
     bool changed = false;
-    // Identify tree-internal muxes: whole output read exactly once, by a mux,
-    // through a data port, and the port slice equals the output exactly.
-    std::unordered_set<Cell*> internal;
-    for (const auto& cptr : module_.cells()) {
-      Cell* c = cptr.get();
-      if (c->type() != CellType::Mux)
-        continue;
-      if (unique_tree_parent(c))
-        internal.insert(c);
-    }
     // Snapshot roots: try_rebuild adds cells and must not invalidate this
     // iteration.
     std::vector<Cell*> roots;
-    for (const auto& cptr : module_.cells()) {
-      Cell* c = cptr.get();
-      if (c->type() == CellType::Mux && !internal.count(c))
-        roots.push_back(c);
+    {
+      const obs::Span span("rebuild", "rebuild.roots");
+      // Identify tree-internal muxes: whole output read exactly once, by a
+      // mux, through a data port, and the port slice equals the output
+      // exactly.
+      std::unordered_set<Cell*> internal;
+      for (const auto& cptr : module_.cells()) {
+        Cell* c = cptr.get();
+        if (c->type() != CellType::Mux)
+          continue;
+        if (unique_tree_parent(c))
+          internal.insert(c);
+      }
+      for (const auto& cptr : module_.cells()) {
+        Cell* c = cptr.get();
+        if (c->type() == CellType::Mux && !internal.count(c))
+          roots.push_back(c);
+      }
     }
+    const obs::Span span("rebuild", "rebuild.trees");
     for (Cell* c : roots) {
       if (consumed_.count(c))
         continue;

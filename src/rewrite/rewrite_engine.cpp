@@ -424,13 +424,14 @@ RewriteStats rewrite_sweep(rtlil::Module& module, const RewriteOptions& options)
 
     // --- per-round setup ----------------------------------------------------
     std::vector<uint32_t> nfan;
-    std::unordered_map<const rtlil::Wire*, uint64_t> wire_order;
     std::vector<std::array<Anchor, 2>> anchors;
     std::vector<RootWork> roots;
     std::unordered_map<Hash128, Cell*, Hash128Hasher> struct_map;
-    const auto bit_rank = [&](const SigBit& b) {
-      return (wire_order.at(b.wire) << 16) | static_cast<uint64_t>(b.offset & 0xffff);
-    };
+    // The module bit id increases strictly in (wire creation order, offset):
+    // the deterministic tie-break rank behind anchor selection and group keys
+    // (bit hashes are pointer-based and would leak allocator layout into the
+    // result).
+    const auto bit_rank = [](const SigBit& b) -> uint64_t { return rtlil::bit_id(b); };
     {
       const obs::Span setup_span("rewrite", "rewrite.setup");
       // Whole-graph reference counts (fanins + outputs) for the candidate
@@ -444,13 +445,6 @@ RewriteStats rewrite_sweep(rtlil::Module& module, const RewriteOptions& options)
       }
       for (size_t i = 0; i < blast.aig.num_outputs(); ++i)
         ++nfan[aig::lit_node(blast.aig.output(static_cast<int>(i)))];
-
-      // Wire creation order: the deterministic tie-break rank behind anchor
-      // selection and group keys (bit hashes are pointer-based and would
-      // leak allocator layout into the result).
-      wire_order.reserve(module.wires().size());
-      for (const auto& w : module.wires())
-        wire_order.emplace(w.get(), wire_order.size());
 
       // Anchors: AIG node + polarity -> best module bit.
       anchors.resize(blast.aig.num_nodes());

@@ -4,6 +4,7 @@
 #include "rtlil/sigspec.hpp"
 
 #include <array>
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -70,10 +71,16 @@ struct CellParams {
 
 class Cell {
 public:
-  Cell(Module* module, std::string name, CellType type)
-      : module_(module), name_(std::move(name)), type_(type) {}
+  /// id() of a cell built outside Module::add_cell (a detached probe).
+  static constexpr uint32_t kNoId = UINT32_MAX;
+
+  Cell(Module* module, std::string name, CellType type, uint32_t id = kNoId)
+      : module_(module), name_(std::move(name)), type_(type), id_(id) {}
 
   Module* module() const noexcept { return module_; }
+  /// Dense module-local id assigned by Module::add_cell, never reused within
+  /// one module; kNoId for a detached cell, which netlist indices never hold.
+  uint32_t id() const noexcept { return id_; }
   const std::string& name() const noexcept { return name_; }
   CellType type() const noexcept { return type_; }
   void set_type(CellType t) noexcept { type_ = t; }
@@ -105,6 +112,7 @@ private:
   Module* module_;
   std::string name_;
   CellType type_;
+  uint32_t id_;
   CellParams params_;
   std::array<SigSpec, kPortCount> ports_;
   std::array<bool, kPortCount> connected_{};

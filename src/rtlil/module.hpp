@@ -17,12 +17,14 @@ class Design;
 /// A named bundle of bits. Ports are wires flagged input/output.
 class Wire {
 public:
-  Wire(Module* module, std::string name, int width)
-      : module_(module), name_(std::move(name)), width_(width) {}
+  Wire(Module* module, std::string name, int width, uint32_t bit_base = 0)
+      : module_(module), name_(std::move(name)), width_(width), bit_base_(bit_base) {}
 
   Module* module() const noexcept { return module_; }
   const std::string& name() const noexcept { return name_; }
   int width() const noexcept { return width_; }
+  /// Module-local id of bit 0; bit i has id bit_base() + i (see bit_id()).
+  uint32_t bit_base() const noexcept { return bit_base_; }
 
   bool port_input = false;
   bool port_output = false;
@@ -33,7 +35,15 @@ private:
   Module* module_;
   std::string name_;
   int width_;
+  uint32_t bit_base_;
 };
+
+/// Dense module-local id of a wire bit (requires bit.is_wire()). Ids are
+/// handed out contiguously per wire at creation, so they increase strictly in
+/// (wire creation order, offset) and are never reused within one module.
+inline uint32_t bit_id(const SigBit& bit) noexcept {
+  return bit.wire->bit_base() + static_cast<uint32_t>(bit.offset);
+}
 
 /// One hardware module: wires + cells + alias connections.
 class Module {
@@ -58,6 +68,9 @@ public:
   /// retire $sig temporaries it retargeted onto assignment lvalues.
   void remove_wire(Wire* w);
 
+  /// One past the largest bit id handed out so far.
+  uint32_t bit_id_bound() const noexcept { return next_bit_id_; }
+
   void set_port_input(Wire* w);
   void set_port_output(Wire* w);
   const std::vector<Wire*>& ports() const noexcept { return ports_; }
@@ -67,6 +80,8 @@ public:
   Cell* cell(const std::string& name) const;
   const std::vector<std::unique_ptr<Cell>>& cells() const noexcept { return cells_; }
   size_t cell_count() const noexcept { return cells_.size(); }
+  /// One past the largest cell id (Cell::id) handed out so far.
+  uint32_t cell_id_bound() const noexcept { return next_cell_id_; }
   void remove_cell(Cell* cell);
   void remove_cells(const std::vector<Cell*>& dead);
 
@@ -143,6 +158,8 @@ private:
   std::vector<std::pair<SigSpec, SigSpec>> connections_;
   std::vector<Wire*> ports_;
   uint64_t name_counter_ = 0;
+  uint32_t next_bit_id_ = 0;
+  uint32_t next_cell_id_ = 0;
 };
 
 /// A set of modules (we only ever optimize one at a time, but the container

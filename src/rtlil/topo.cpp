@@ -17,67 +17,69 @@ void combinational_adjacent_cells(const NetlistIndex& index, const SigBit& bit,
       out.push_back(r);
 }
 
-NetlistIndex::NetlistIndex(const Module& module) : sigmap_(module) {
+NetlistIndex::NetlistIndex(const Module& module) : module_(&module), sigmap_(module) {
+  grow_bits();
+  grow_cells();
   for (const auto& w : module.wires()) {
     if (!w->port_output)
       continue;
-    for (int i = 0; i < w->width(); ++i)
-      output_port_bits_[sigmap_(SigBit(w.get(), i))] = true;
+    for (int i = 0; i < w->width(); ++i) {
+      const SigBit bit = sigmap_(SigBit(w.get(), i));
+      if (bit.is_wire())
+        output_port_bits_[bit_id(bit)] = 1;
+      else
+        output_port_consts_ |= static_cast<uint8_t>(1u << static_cast<unsigned>(bit.data));
+    }
   }
-
-  std::unordered_map<const Cell*, int> indegree;
-  std::unordered_map<SigBit, std::vector<Cell*>> comb_readers;
 
   for (const auto& cptr : module.cells()) {
     Cell* c = cptr.get();
-    indegree[c] = 0;
     const Port out = c->output_port();
     for (const SigBit& raw : c->port(out)) {
       const SigBit bit = sigmap_(raw);
       if (!bit.is_wire())
         continue; // output tied to a constant alias: nothing to index
-      auto [it, inserted] = driver_.emplace(bit, c);
-      if (!inserted)
+      Cell*& slot = driver_[bit_id(bit)];
+      if (slot != nullptr)
         log_warn("multiple drivers for %s[%d] (cells %s, %s)", bit.wire->name().c_str(),
-                 bit.offset, it->second->name().c_str(), c->name().c_str());
+                 bit.offset, slot->name().c_str(), c->name().c_str());
+      else
+        slot = c;
     }
   }
 
+  // Combinational dependency edges driver(bit) -> reader, except into Dff.D
+  // (sequential boundary) and from Dff.Q (handled as source): one per
+  // reader entry of a bit whose driver is combinational.
+  const auto comb_driven = [&](uint32_t id) {
+    return driver_[id] != nullptr && driver_[id]->type() != CellType::Dff;
+  };
+  std::vector<int> indegree(cell_reads_.size(), 0);
   for (const auto& cptr : module.cells()) {
     Cell* c = cptr.get();
     index_cell_reads(c);
-    for (Port p : c->input_ports()) {
-      for (const SigBit& raw : c->port(p)) {
-        const SigBit bit = sigmap_(raw);
-        if (!bit.is_wire())
-          continue;
-        // Combinational dependency edge driver(bit) -> c, except into Dff.D
-        // (sequential boundary) and from Dff.Q (handled as source).
-        if (c->type() == CellType::Dff)
-          continue;
-        auto it = driver_.find(bit);
-        if (it != driver_.end() && it->second->type() != CellType::Dff) {
-          comb_readers[bit].push_back(c);
-          ++indegree[c];
-        }
-      }
-    }
+    if (c->type() == CellType::Dff)
+      continue;
+    for (const SigBit& bit : cell_reads_[c->id()])
+      if (comb_driven(bit_id(bit)))
+        ++indegree[c->id()];
   }
 
   // Kahn's algorithm over combinational edges, FIFO order. Two properties
   // matter beyond validity:
   //   * deterministic content function — the queue is seeded in module cell
-  //     order (indegree is keyed on cell pointers, whose iteration order
-  //     varies with heap layout), so design clones number their AIG/CNF
-  //     encodings identically; the fraig engine's solver_conflicts
-  //     determinism and every cross-clone bench differential depend on it;
+  //     order and readers are released in reader-list order (module cell
+  //     order again), so design clones number their AIG/CNF encodings
+  //     identically; the fraig engine's solver_conflicts determinism and
+  //     every cross-clone bench differential depend on it;
   //   * BFS layering — positions correlate with logic depth, so the fraig
   //     engine's minimum-position class representative is the shallowest
   //     member and merges collapse deep cones onto shallow ones.
   std::vector<Cell*> ready;
   for (const auto& cptr : module.cells())
-    if (indegree[cptr.get()] == 0)
+    if (indegree[cptr->id()] == 0)
       ready.push_back(cptr.get());
+  std::vector<uint8_t> released(driver_.size(), 0); // a bit's edges fire once
   topo_.reserve(module.cells().size());
   for (size_t head = 0; head < ready.size();) {
     Cell* c = ready[head++];
@@ -86,102 +88,140 @@ NetlistIndex::NetlistIndex(const Module& module) : sigmap_(module) {
       continue;
     for (const SigBit& raw : c->port(c->output_port())) {
       const SigBit bit = sigmap_(raw);
-      auto it = comb_readers.find(bit);
-      if (it == comb_readers.end())
+      if (!bit.is_wire())
         continue;
-      for (Cell* r : it->second)
-        if (--indegree[r] == 0)
+      const uint32_t id = bit_id(bit);
+      if (released[id] || !comb_driven(id))
+        continue;
+      released[id] = 1;
+      for (Cell* r : readers_[id])
+        if (r->type() != CellType::Dff && --indegree[r->id()] == 0)
           ready.push_back(r);
-      comb_readers.erase(it);
     }
   }
   if (topo_.size() != module.cells().size())
     throw std::logic_error("NetlistIndex: combinational cycle detected");
-  topo_pos_.reserve(topo_.size());
   for (size_t i = 0; i < topo_.size(); ++i)
-    topo_pos_.emplace(topo_[i], static_cast<int>(i));
+    topo_pos_[topo_[i]->id()] = static_cast<int>(i);
+}
+
+void NetlistIndex::grow_bits() {
+  const size_t n = module_->bit_id_bound();
+  if (driver_.size() >= n)
+    return;
+  driver_.resize(n, nullptr);
+  readers_.resize(n);
+  output_port_bits_.resize(n, 0);
+}
+
+void NetlistIndex::grow_cells() {
+  const size_t n = module_->cell_id_bound();
+  if (cell_reads_.size() >= n)
+    return;
+  cell_reads_.resize(n);
+  topo_pos_.resize(n, -1);
 }
 
 Cell* NetlistIndex::driver(SigBit bit) const {
-  auto it = driver_.find(sigmap_(bit));
-  return it == driver_.end() ? nullptr : it->second;
+  const size_t id = bit_slot(sigmap_(bit));
+  return id < driver_.size() ? driver_[id] : nullptr;
 }
 
 const std::vector<Cell*>& NetlistIndex::readers(SigBit bit) const {
-  auto it = readers_.find(sigmap_(bit));
-  return it == readers_.end() ? empty_ : it->second;
+  const size_t id = bit_slot(sigmap_(bit));
+  return id < readers_.size() ? readers_[id] : empty_;
 }
 
 int NetlistIndex::fanout(SigBit bit) const {
   const SigBit b = sigmap_(bit);
-  auto it = readers_.find(b);
-  int n = it == readers_.end() ? 0 : static_cast<int>(it->second.size());
+  const size_t id = bit_slot(b);
+  int n = id < readers_.size() ? static_cast<int>(readers_[id].size()) : 0;
   if (drives_output_port(b))
     ++n;
   return n;
 }
 
 bool NetlistIndex::drives_output_port(SigBit bit) const {
-  return output_port_bits_.count(sigmap_(bit)) > 0;
+  const SigBit b = sigmap_(bit);
+  if (b.is_const())
+    return (output_port_consts_ >> static_cast<unsigned>(b.data)) & 1u;
+  const size_t id = bit_slot(b);
+  return id < output_port_bits_.size() && output_port_bits_[id] != 0;
 }
 
 void NetlistIndex::index_cell_reads(Cell* cell) {
-  std::vector<SigBit>& reads = cell_reads_[cell];
+  const size_t cid = cell_slot(cell);
+  if (cid == kNoSlot)
+    throw std::invalid_argument("NetlistIndex: cell is not part of the indexed module");
+  grow_bits();
+  grow_cells();
+  std::vector<SigBit>& reads = cell_reads_[cid];
   reads.clear();
   for (Port p : cell->input_ports())
     for (const SigBit& raw : cell->port(p)) {
       const SigBit bit = sigmap_(raw);
-      if (!bit.is_wire())
+      const size_t id = bit_slot(bit);
+      if (id == kNoSlot)
         continue;
-      readers_[bit].push_back(cell);
+      readers_[id].push_back(cell);
       reads.push_back(bit);
     }
 }
 
 void NetlistIndex::erase_cell_reads(Cell* cell) {
-  auto it = cell_reads_.find(cell);
-  if (it == cell_reads_.end())
+  const size_t cid = cell_slot(cell);
+  if (cid >= cell_reads_.size())
     return;
-  for (const SigBit& stored : it->second) {
-    auto rit = readers_.find(sigmap_(stored)); // re-canonicalize: merges since
-    if (rit == readers_.end())
+  for (const SigBit& stored : cell_reads_[cid]) {
+    const size_t id = bit_slot(sigmap_(stored)); // re-canonicalize: merges since
+    if (id >= readers_.size())
       continue;
-    auto& list = rit->second;
+    auto& list = readers_[id];
     auto pos = std::find(list.begin(), list.end(), cell);
     if (pos != list.end())
       list.erase(pos); // one occurrence per stored entry (multiset semantics)
-    if (list.empty())
-      readers_.erase(rit);
   }
-  it->second.clear();
+  cell_reads_[cid].clear();
 }
 
 void NetlistIndex::remove_cell(Cell* cell) {
   erase_cell_reads(cell);
-  cell_reads_.erase(cell);
+  const size_t cid = cell_slot(cell);
+  if (cid < cell_reads_.size())
+    std::vector<SigBit>().swap(cell_reads_[cid]);
   for (const SigBit& raw : cell->port(cell->output_port())) {
-    const SigBit bit = sigmap_(raw);
-    if (!bit.is_wire())
-      continue;
-    auto it = driver_.find(bit);
-    if (it != driver_.end() && it->second == cell)
-      driver_.erase(it);
+    const size_t id = bit_slot(sigmap_(raw));
+    if (id < driver_.size() && driver_[id] == cell)
+      driver_[id] = nullptr;
   }
-  topo_pos_.erase(cell);
+  if (cid >= topo_pos_.size() || topo_pos_[cid] < 0)
+    return;
+  // Untouched cells sit at their position; cells added since the last
+  // compact_topo were appended at the end.
+  const size_t pos = static_cast<size_t>(topo_pos_[cid]);
+  if (pos < topo_.size() && topo_[pos] == cell)
+    topo_[pos] = nullptr;
+  else
+    std::replace(topo_.begin(), topo_.end(), cell, static_cast<Cell*>(nullptr));
+  topo_pos_[cid] = -1;
+  topo_has_holes_ = true;
 }
 
 void NetlistIndex::add_cell(Cell* cell, int topo_pos) {
+  index_cell_reads(cell); // validates the cell and grows the vectors
   for (const SigBit& raw : cell->port(cell->output_port())) {
     const SigBit bit = sigmap_(raw);
-    if (!bit.is_wire())
+    const size_t id = bit_slot(bit);
+    if (id == kNoSlot)
       continue;
-    auto [it, inserted] = driver_.emplace(bit, cell);
-    if (!inserted && it->second != cell)
+    if (driver_[id] == nullptr)
+      driver_[id] = cell;
+    else if (driver_[id] != cell)
       log_warn("add_cell: %s[%d] already driven by %s (adding %s)", bit.wire->name().c_str(),
-               bit.offset, it->second->name().c_str(), cell->name().c_str());
+               bit.offset, driver_[id]->name().c_str(), cell->name().c_str());
   }
-  index_cell_reads(cell);
-  topo_pos_.emplace(cell, topo_pos);
+  if (topo_pos_[cell->id()] < 0)
+    topo_pos_[cell->id()] = topo_pos;
   topo_.push_back(cell);
   topo_needs_sort_ = true;
 }
@@ -194,39 +234,44 @@ void NetlistIndex::add_alias(const SigSpec& lhs, const SigSpec& rhs) {
     if (a == b)
       continue;
     sigmap_.add(lhs[i], rhs[i]);
+    grow_bits();
     const SigBit rep = sigmap_(lhs[i]);
+    const size_t rep_id = bit_slot(rep);
     for (const SigBit& old : {a, b}) {
       if (old == rep)
         continue;
       // Reader entries / driver entries only exist for wire keys; a class
       // whose representative became a constant sheds them, exactly as a
       // rebuild (which never indexes constant-canonical bits) would.
-      // Take the old entries out by value before touching the rep's slots:
-      // inserting readers_[rep] / driver_[rep] can rehash and invalidate any
-      // iterator still pointing at the old keys.
-      if (old.is_wire()) {
-        if (auto rit = readers_.find(old); rit != readers_.end()) {
-          std::vector<Cell*> moved = std::move(rit->second);
-          readers_.erase(rit);
-          if (rep.is_wire()) {
-            auto& dst = readers_[rep];
-            dst.insert(dst.end(), moved.begin(), moved.end());
-          }
-        }
-        if (auto dit = driver_.find(old); dit != driver_.end()) {
-          Cell* moved = dit->second;
-          driver_.erase(dit);
-          if (rep.is_wire()) {
-            auto [pos, inserted] = driver_.emplace(rep, moved);
-            if (!inserted && pos->second != moved)
+      const size_t old_id = bit_slot(old);
+      bool was_output = false;
+      if (old_id != kNoSlot) {
+        std::vector<Cell*> moved = std::move(readers_[old_id]);
+        readers_[old_id] = {};
+        if (rep_id != kNoSlot)
+          readers_[rep_id].insert(readers_[rep_id].end(), moved.begin(), moved.end());
+        if (Cell* moved_driver = driver_[old_id]) {
+          driver_[old_id] = nullptr;
+          if (rep_id != kNoSlot) {
+            if (driver_[rep_id] == nullptr)
+              driver_[rep_id] = moved_driver;
+            else if (driver_[rep_id] != moved_driver)
               log_warn("alias merges two driven nets (cells %s, %s)",
-                       pos->second->name().c_str(), moved->name().c_str());
+                       driver_[rep_id]->name().c_str(), moved_driver->name().c_str());
           }
         }
+        was_output = output_port_bits_[old_id] != 0;
+        output_port_bits_[old_id] = 0;
+      } else if (old.is_const()) {
+        const uint8_t flag = static_cast<uint8_t>(1u << static_cast<unsigned>(old.data));
+        was_output = (output_port_consts_ & flag) != 0;
+        output_port_consts_ &= static_cast<uint8_t>(~flag);
       }
-      if (auto oit = output_port_bits_.find(old); oit != output_port_bits_.end()) {
-        output_port_bits_[rep] = true;
-        output_port_bits_.erase(old);
+      if (was_output) {
+        if (rep_id != kNoSlot)
+          output_port_bits_[rep_id] = 1;
+        else if (rep.is_const())
+          output_port_consts_ |= static_cast<uint8_t>(1u << static_cast<unsigned>(rep.data));
       }
     }
   }
@@ -238,11 +283,11 @@ void NetlistIndex::refresh_cell_reads(Cell* cell) {
 }
 
 void NetlistIndex::compact_topo() {
-  if (topo_.size() == topo_pos_.size() && !topo_needs_sort_)
+  if (!topo_has_holes_ && !topo_needs_sort_)
     return;
-  topo_.erase(std::remove_if(topo_.begin(), topo_.end(),
-                             [&](Cell* c) { return !topo_pos_.count(c); }),
+  topo_.erase(std::remove(topo_.begin(), topo_.end(), static_cast<Cell*>(nullptr)),
               topo_.end());
+  topo_has_holes_ = false;
   if (topo_needs_sort_) {
     // Added cells were appended out of place; restore position order. Ties
     // are possible — several added cells can take the same freed position,
@@ -250,8 +295,9 @@ void NetlistIndex::compact_topo() {
     // — and stable_sort keeps them in append order, which callers make
     // deterministic (journal order: intra-plan dependencies are appended in
     // program order).
-    std::stable_sort(topo_.begin(), topo_.end(),
-                     [&](const Cell* a, const Cell* b) { return topo_pos_.at(a) < topo_pos_.at(b); });
+    std::stable_sort(topo_.begin(), topo_.end(), [&](const Cell* a, const Cell* b) {
+      return topo_pos_[a->id()] < topo_pos_[b->id()];
+    });
     topo_needs_sort_ = false;
   }
   // Renumber to the compacted sequence so positions are unique again and
@@ -260,7 +306,7 @@ void NetlistIndex::compact_topo() {
   // distinct positions in their (deterministic) append order; all previously
   // distinct positions keep their relative order.
   for (size_t i = 0; i < topo_.size(); ++i)
-    topo_pos_[topo_[i]] = static_cast<int>(i);
+    topo_pos_[topo_[i]->id()] = static_cast<int>(i);
 }
 
 bool index_consistent(const Module& module, const NetlistIndex& index) {

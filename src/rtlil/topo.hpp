@@ -4,7 +4,7 @@
 #include "rtlil/module.hpp"
 #include "rtlil/sigmap.hpp"
 
-#include <unordered_map>
+#include <cstdint>
 #include <vector>
 
 namespace smartly::rtlil {
@@ -64,15 +64,17 @@ public:
   /// sources for their Q and sinks for their D). Throws if a combinational
   /// cycle exists. After incremental removals the order is compacted by
   /// compact_topo(); surviving cells keep their original relative order.
+  /// Until then a removed cell's entry reads nullptr.
   const std::vector<Cell*>& topo_order() const noexcept { return topo_; }
 
-  /// Position of a cell within topo_order(), or -1 if unknown. Lets callers
+  /// Position of a cell within topo_order(), or -1 if unknown (removed,
+  /// detached, or another module's cell). Lets callers
   /// sort small cell subsets into evaluation order without a module rescan.
   /// Positions are stable (never renumbered) across incremental updates, so
   /// only their relative order is meaningful after a removal.
   int topo_position(const Cell* cell) const {
-    auto it = topo_pos_.find(cell);
-    return it == topo_pos_.end() ? -1 : it->second;
+    const size_t id = cell_slot(cell);
+    return id < topo_pos_.size() ? topo_pos_[id] : -1;
   }
 
   // --- incremental maintenance (sweep-barrier journal application) ---------
@@ -117,20 +119,49 @@ public:
   void compact_topo();
 
 private:
+  static constexpr size_t kNoSlot = SIZE_MAX;
+
+  /// Dense slot of a canonical bit: its bit id when it is a wire bit of this
+  /// module, else kNoSlot (constants, other modules' bits). The slot may lie
+  /// beyond the per-bit vectors for wires created after their last growth.
+  size_t bit_slot(const SigBit& canonical) const {
+    if (!canonical.is_wire() || canonical.wire->module() != module_)
+      return kNoSlot;
+    return bit_id(canonical);
+  }
+  /// Cell id for this module's cells; kNoSlot for detached or foreign cells.
+  size_t cell_slot(const Cell* cell) const {
+    if (cell->module() != module_ || cell->id() == Cell::kNoId)
+      return kNoSlot;
+    return cell->id();
+  }
+  /// Size the per-bit / per-cell vectors to cover every id handed out so far
+  /// (maintenance only; queries treat out-of-range ids as misses).
+  void grow_bits();
+  void grow_cells();
+
   void index_cell_reads(Cell* cell);
   void erase_cell_reads(Cell* cell);
 
+  const Module* module_;
   SigMap sigmap_;
-  std::unordered_map<SigBit, Cell*> driver_;
-  std::unordered_map<SigBit, std::vector<Cell*>> readers_;
-  std::unordered_map<SigBit, bool> output_port_bits_;
+  // Per canonical wire bit, indexed by bit id.
+  std::vector<Cell*> driver_;
+  std::vector<std::vector<Cell*>> readers_;
+  std::vector<uint8_t> output_port_bits_;
+  /// Output-port flags of constant-canonical bits, one bit per State.
+  uint8_t output_port_consts_ = 0;
+  // Per cell, indexed by cell id.
   /// Canonical-at-insertion read bits per cell, one entry per (port, bit
   /// position) — the exact multiset of reader entries to retract when the
   /// cell mutates or disappears. Keys are re-canonicalized at erase time so
   /// alias merges in between are harmless.
-  std::unordered_map<const Cell*, std::vector<SigBit>> cell_reads_;
+  std::vector<std::vector<SigBit>> cell_reads_;
+  std::vector<int> topo_pos_; ///< -1 for cells without a position
+  /// remove_cell nulls its topo_ entry (the cell may be freed before
+  /// compact_topo runs); compact_topo drops the nulls.
   std::vector<Cell*> topo_;
-  std::unordered_map<const Cell*, int> topo_pos_;
+  bool topo_has_holes_ = false;  ///< a remove_cell left a null in topo_
   bool topo_needs_sort_ = false; ///< an add_cell broke topo_'s position order
   std::vector<Cell*> empty_;
 };

@@ -1,5 +1,6 @@
 #include "sweep/equiv_classes.hpp"
 
+#include "obs/trace.hpp"
 #include "sim/packed_sim.hpp"
 #include "util/thread_pool.hpp"
 
@@ -22,6 +23,12 @@ uint64_t stable_bit_hash(const SigBit& bit) {
   return hash_combine(h, static_cast<uint64_t>(bit.offset));
 }
 
+/// Strict order on signature keys (any fixed total order will do: buckets
+/// are only grouped by it, never emitted in it).
+bool key_less(const Hash128& a, const Hash128& b) {
+  return a.hi != b.hi ? a.hi < b.hi : a.lo < b.lo;
+}
+
 } // namespace
 
 EquivClasses::EquivClasses(const EquivClassOptions& options) : options_(options) {
@@ -29,30 +36,27 @@ EquivClasses::EquivClasses(const EquivClassOptions& options) : options_(options)
     options_.sim_words = 1;
 }
 
-void EquivClasses::bind(const rtlil::Module& module, const rtlil::NetlistIndex& index) {
-  module_ = &module;
-  index_ = &index;
-  blast_ = aig::aigmap(module, index);
+EquivClasses::BitPatterns& EquivClasses::patterns_of(const SigBit& bit) {
+  auto [it, inserted] = word_cache_.try_emplace(bit);
+  if (inserted)
+    it->second.hash = stable_bit_hash(bit);
+  return it->second;
+}
 
-  wire_order_.clear();
-  uint64_t order = 0;
-  for (const auto& w : module.wires())
-    wire_order_.emplace(w.get(), order++);
+void EquivClasses::bind(const rtlil::Module& module, const rtlil::NetlistIndex& index) {
+  blast_ = aig::aigmap(module, index);
 
   // Reverse map: AIG input node -> module bit. Several bits can carry the
   // same plain input literal (a cell output strash-folds onto an input, e.g.
   // y = a & a), and blast_.bits iterates in pointer-hash order — so the
   // winner must be chosen deterministically: prefer the true free bit (no
-  // combinational driver), then the lowest wire-order rank. Patterns are
-  // seeded from the winner's name; a pointer-dependent choice would breach
-  // the cross-clone determinism contract.
+  // combinational driver), then the lowest bit id. Patterns are seeded from
+  // the winner's name; a pointer-dependent choice would breach the
+  // cross-clone determinism contract.
   input_bits_.assign(blast_.aig.num_inputs(), SigBit());
   input_node_index_.clear();
   for (size_t i = 0; i < blast_.aig.num_inputs(); ++i)
     input_node_index_.emplace(blast_.aig.inputs()[i], i);
-  const auto rank = [&](const SigBit& bit) {
-    return (wire_order_.at(bit.wire) << 20) | (static_cast<uint64_t>(bit.offset) & 0xfffffULL);
-  };
   const auto is_free = [&](const SigBit& bit) {
     const rtlil::Cell* driver = index.driver(bit);
     return !driver || driver->type() == rtlil::CellType::Dff;
@@ -70,105 +74,125 @@ void EquivClasses::bind(const rtlil::Module& module, const rtlil::NetlistIndex& 
     }
     const bool bit_free = is_free(bit);
     const bool slot_free = is_free(slot);
-    if (bit_free != slot_free ? bit_free : rank(bit) < rank(slot))
+    if (bit_free != slot_free ? bit_free : rtlil::bit_id(bit) < rtlil::bit_id(slot))
       slot = bit;
+  }
+  input_patterns_.assign(input_bits_.size(), nullptr);
+  for (size_t i = 0; i < input_bits_.size(); ++i)
+    if (input_bits_[i].is_wire()) // unmapped inputs (defensive) keep all-0 patterns
+      input_patterns_[i] = &patterns_of(input_bits_[i]);
+
+  members_.clear();
+  members_.reserve(blast_.bits.size());
+  for (const auto& [bit, lit] : blast_.bits) {
+    if (!bit.is_wire())
+      continue;
+    EquivMember m;
+    m.bit = bit;
+    m.lit = lit;
+    Cell* driver = index.driver(bit);
+    if (driver && driver->type() != CellType::Dff) {
+      m.driver = driver;
+      m.topo_pos = index.topo_position(driver);
+    }
+    m.rank = rtlil::bit_id(bit);
+    members_.push_back(m);
   }
 }
 
-uint64_t EquivClasses::fill_bit(const SigBit& bit, size_t pattern_index) const {
-  return hash_mix(hash_combine(options_.seed ^ 0xf111f111f111f111ULL,
-                               hash_combine(stable_bit_hash(bit), pattern_index))) &
-         1;
+uint64_t EquivClasses::render_word(const BitPatterns& pat, size_t w) const {
+  if (w < options_.sim_words) {
+    Rng rng(hash_combine(hash_combine(options_.seed, pat.hash), w));
+    return rng.next();
+  }
+  // Counterexample batch: deterministic fill for every lane (lanes beyond
+  // the pool included), then the bit's own counterexample values on top.
+  const size_t first = (w - options_.sim_words) * 64;
+  const uint64_t fill_seed = options_.seed ^ 0xf111f111f111f111ULL;
+  uint64_t word = 0;
+  for (size_t lane = 0; lane < 64; ++lane)
+    word |= (hash_mix(hash_combine(fill_seed, hash_combine(pat.hash, first + lane))) & 1)
+            << lane;
+  const auto lo = std::lower_bound(pat.cex.begin(), pat.cex.end(),
+                                   std::make_pair(static_cast<uint32_t>(first), false));
+  for (auto it = lo; it != pat.cex.end() && it->first < first + 64; ++it) {
+    const uint64_t bit = 1ULL << (it->first - first);
+    word = it->second ? word | bit : word & ~bit;
+  }
+  return word;
 }
 
 std::vector<EquivClass> EquivClasses::compute(util::ThreadPool* pool) {
   const size_t n_inputs = blast_.aig.num_inputs();
-  const size_t cex_batches = (cex_.size() + 63) / 64;
-  const size_t n_batches = options_.sim_words + cex_batches;
+  const size_t n_batches = options_.sim_words + (cex_count_ + 63) / 64;
 
-  // Pattern words are a pure function of (seed, wire name, batch) — base
-  // batches are name-seeded Rng draws, a *full* counterexample batch never
-  // changes once its 64 lanes are filled. Both are cached per bit across
-  // rounds (the cache is keyed by module bit, so it survives re-blasts);
-  // only the final partial cex batch is re-rendered, since its padded lanes
-  // fill in as the pool grows.
-  const auto render_batch = [&](const SigBit& bit, size_t w) {
-    if (w < options_.sim_words) {
-      Rng rng(hash_combine(hash_combine(options_.seed, stable_bit_hash(bit)), w));
-      return rng.next();
-    }
-    uint64_t word = 0;
-    for (size_t lane = 0; lane < 64; ++lane) {
-      const size_t idx = (w - options_.sim_words) * 64 + lane;
-      uint64_t v;
-      if (idx < cex_.size()) {
-        auto it = cex_[idx].find(bit);
-        v = it != cex_[idx].end() ? (it->second ? 1 : 0) : fill_bit(bit, idx);
-      } else {
-        v = fill_bit(bit, idx); // pad lanes beyond the pool deterministically
-      }
-      word |= v << lane;
-    }
-    return word;
-  };
-
-  const size_t cacheable = options_.sim_words + cex_.size() / 64; // full batches only
+  // Pattern words are a pure function of (seed, wire name, batch) plus the
+  // bit's counterexample values. Each bit renders a batch word once and
+  // keeps it across rounds and re-blasts; the pool patches later
+  // counterexamples into it (add_counterexample).
   std::vector<std::vector<uint64_t>> batch_inputs(n_batches);
-  for (auto& words : batch_inputs)
-    words.resize(n_inputs, 0);
-  for (size_t i = 0; i < n_inputs; ++i) {
-    const SigBit& bit = input_bits_[i];
-    if (!bit.is_wire())
-      continue; // unmapped input (defensive): patterns stay 0
-    std::vector<uint64_t>& cached = word_cache_[bit];
-    while (cached.size() < cacheable)
-      cached.push_back(render_batch(bit, cached.size()));
-    for (size_t w = 0; w < n_batches; ++w)
-      batch_inputs[w][i] = w < cacheable ? cached[w] : render_batch(bit, w);
+  {
+    const obs::Span span("fraig", "fraig.render");
+    for (auto& words : batch_inputs)
+      words.resize(n_inputs, 0);
+    for (size_t i = 0; i < n_inputs; ++i) {
+      BitPatterns* pat = input_patterns_[i];
+      if (pat == nullptr)
+        continue;
+      while (pat->words.size() < n_batches)
+        pat->words.push_back(render_word(*pat, pat->words.size()));
+      for (size_t w = 0; w < n_batches; ++w)
+        batch_inputs[w][i] = pat->words[w];
+    }
   }
 
-  const sim::SignatureTable table = sim::simulate_signatures(blast_.aig, batch_inputs, pool);
+  const sim::SignatureTable table = [&] {
+    const obs::Span span("fraig", "fraig.simulate");
+    return sim::simulate_signatures(blast_.aig, batch_inputs, pool);
+  }();
 
-  // Partition candidate bits by normalized signature. Buckets keyed on the
-  // 128-bit signature hash; equality is treated as identity (cone-cache
+  const obs::Span bucket_span("fraig", "fraig.bucket");
+  // Partition candidate bits by normalized signature: hash each member's
+  // signature on the pool, then sort (key, rank) so equal keys form runs.
+  // Equality of the 128-bit hash is treated as identity (cone-cache
   // precedent) — a collision could only propose a false candidate, which the
   // SAT confirmation then disproves.
-  struct Bucket {
-    bool zero = true; ///< normalized signature identically zero
-    std::vector<EquivMember> members;
+  struct Keyed {
+    Hash128 key;
+    uint32_t member = 0;
+    bool zero = false; ///< normalized signature identically zero
   };
-  std::unordered_map<Hash128, Bucket, Hash128Hasher> buckets;
-  candidate_bits_ = 0;
-
-  for (const auto& [bit, lit] : blast_.bits) {
-    if (!bit.is_wire())
-      continue;
-    ++candidate_bits_;
-    EquivMember m;
-    m.bit = bit;
-    m.lit = lit;
-    Cell* driver = index_->driver(bit);
-    if (driver && driver->type() != CellType::Dff) {
-      m.driver = driver;
-      m.topo_pos = index_->topo_position(driver);
+  std::vector<EquivMember> members = members_;
+  std::vector<Keyed> keyed(members.size());
+  const auto key_range = [&](size_t begin, size_t end) {
+    for (size_t j = begin; j < end; ++j) {
+      EquivMember& m = members[j];
+      m.inverted = (table.lit_word(m.lit, 0) & 1) != 0;
+      Hash128 key{0x243f6a8885a308d3ULL, 0x13198a2e03707344ULL};
+      bool zero = true;
+      for (size_t w = 0; w < n_batches; ++w) {
+        uint64_t v = table.lit_word(m.lit, w);
+        if (m.inverted)
+          v = ~v;
+        zero = zero && v == 0;
+        key = hash128_combine(key, v);
+      }
+      keyed[j] = {key, static_cast<uint32_t>(j), zero};
     }
-    m.rank = (wire_order_.at(bit.wire) << 20) |
-             (static_cast<uint64_t>(bit.offset) & 0xfffffULL);
-
-    m.inverted = (table.lit_word(lit, 0) & 1) != 0;
-    Hash128 key{0x243f6a8885a308d3ULL, 0x13198a2e03707344ULL};
-    bool zero = true;
-    for (size_t w = 0; w < n_batches; ++w) {
-      uint64_t v = table.lit_word(lit, w);
-      if (m.inverted)
-        v = ~v;
-      zero = zero && v == 0;
-      key = hash128_combine(key, v);
-    }
-    Bucket& bucket = buckets[key];
-    bucket.zero = zero;
-    bucket.members.push_back(m);
-  }
+  };
+  constexpr size_t kChunk = 4096;
+  const size_t chunks = (members.size() + kChunk - 1) / kChunk;
+  if (pool != nullptr && pool->size() > 1 && chunks > 1)
+    pool->run_batch(chunks, [&](int, size_t c) {
+      key_range(c * kChunk, std::min(members.size(), (c + 1) * kChunk));
+    });
+  else
+    key_range(0, members.size());
+  std::sort(keyed.begin(), keyed.end(), [&](const Keyed& a, const Keyed& b) {
+    if (a.key != b.key)
+      return key_less(a.key, b.key);
+    return members[a.member].rank < members[b.member].rank;
+  });
 
   const auto member_less = [](const EquivMember& a, const EquivMember& b) {
     if (a.topo_pos != b.topo_pos)
@@ -177,11 +201,16 @@ std::vector<EquivClass> EquivClasses::compute(util::ThreadPool* pool) {
   };
 
   std::vector<EquivClass> classes;
-  for (auto& [key, bucket] : buckets) {
-    (void)key;
+  for (size_t run = 0; run < keyed.size();) {
+    size_t end = run + 1;
+    while (end < keyed.size() && keyed[end].key == keyed[run].key)
+      ++end;
     EquivClass cls;
-    cls.constant = bucket.zero;
-    cls.members = std::move(bucket.members);
+    cls.constant = keyed[run].zero;
+    cls.members.reserve(end - run);
+    for (size_t k = run; k < end; ++k)
+      cls.members.push_back(members[keyed[k].member]);
+    run = end;
     std::sort(cls.members.begin(), cls.members.end(), member_less);
     bool mergeable = false;
     if (cls.constant) {
@@ -201,18 +230,29 @@ std::vector<EquivClass> EquivClasses::compute(util::ThreadPool* pool) {
 }
 
 bool EquivClasses::add_counterexample(const InputAssignment& assignment) {
+  std::vector<BitPatterns*> pats;
+  pats.reserve(assignment.size());
   Hash128 h{0x6a09e667f3bcc908ULL, 0xb5c0fbcfec4d3b2fULL};
-  for (const auto& [bit, value] : assignment)
-    hash128_mix_unordered(h, stable_bit_hash(bit) * 2 + (value ? 1 : 0));
+  for (const auto& [bit, value] : assignment) {
+    pats.push_back(&patterns_of(bit));
+    hash128_mix_unordered(h, pats.back()->hash * 2 + (value ? 1 : 0));
+  }
   if (!cex_seen_.insert(h).second)
     return false;
-  if (cex_.size() >= options_.max_patterns)
+  if (cex_count_ >= options_.max_patterns)
     return false;
-  std::unordered_map<SigBit, bool> pattern;
-  pattern.reserve(assignment.size());
-  for (const auto& [bit, value] : assignment)
-    pattern.emplace(bit, value);
-  cex_.push_back(std::move(pattern));
+  const uint32_t idx = static_cast<uint32_t>(cex_count_++);
+  const size_t w = options_.sim_words + idx / 64;
+  const uint64_t lane = 1ULL << (idx % 64);
+  for (size_t k = 0; k < assignment.size(); ++k) {
+    BitPatterns& pat = *pats[k];
+    if (!pat.cex.empty() && pat.cex.back().first == idx)
+      continue; // a bit listed twice: the first value wins
+    const bool value = assignment[k].second;
+    pat.cex.emplace_back(idx, value);
+    if (w < pat.words.size())
+      pat.words[w] = value ? pat.words[w] | lane : pat.words[w] & ~lane;
+  }
   return true;
 }
 

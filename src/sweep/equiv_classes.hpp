@@ -53,7 +53,9 @@ struct EquivMember {
   /// representative but are never merged away.
   rtlil::Cell* driver = nullptr;
   int topo_pos = -1; ///< driver's topo position; -1 for free bits
-  uint64_t rank = 0; ///< stable tie-break: (wire creation order, offset)
+  /// Stable tie-break: the module bit id, which increases strictly in (wire
+  /// creation order, offset).
+  uint64_t rank = 0;
 };
 
 struct EquivClass {
@@ -75,8 +77,12 @@ using InputAssignment = std::vector<std::pair<rtlil::SigBit, bool>>;
 class EquivClasses {
 public:
   explicit EquivClasses(const EquivClassOptions& options = {});
+  // input_patterns_ points into word_cache_.
+  EquivClasses(const EquivClasses&) = delete;
+  EquivClasses& operator=(const EquivClasses&) = delete;
 
-  /// (Re)blast the module into a fresh whole-netlist AIG. Call after every
+  /// (Re)blast the module into a fresh whole-netlist AIG and snapshot each
+  /// candidate bit's driver and topo position from `index`. Call after every
   /// structural change (the fraig engine's round barriers); the pattern pool
   /// survives rebinds — counterexamples are keyed by module bit, not by AIG
   /// input index.
@@ -99,26 +105,39 @@ public:
   const std::unordered_map<uint32_t, size_t>& input_node_index() const noexcept {
     return input_node_index_;
   }
-  size_t pattern_count() const noexcept { return cex_.size(); }
-  size_t candidate_bits() const noexcept { return candidate_bits_; }
+  size_t pattern_count() const noexcept { return cex_count_; }
+  size_t candidate_bits() const noexcept { return members_.size(); }
 
 private:
-  uint64_t fill_bit(const rtlil::SigBit& bit, size_t pattern_index) const;
+  /// Pattern state of one module bit, kept across rebinds.
+  struct BitPatterns {
+    uint64_t hash = 0; ///< stable_bit_hash: name-derived, clone-independent
+    /// Rendered batch words: base batches, then counterexample batches.
+    /// Counterexample values are patched into already-rendered words as
+    /// they arrive, so every word is rendered once.
+    std::vector<uint64_t> words;
+    /// (pattern index, value) of every counterexample that assigns this bit,
+    /// in pool order.
+    std::vector<std::pair<uint32_t, bool>> cex;
+  };
+
+  BitPatterns& patterns_of(const rtlil::SigBit& bit);
+  uint64_t render_word(const BitPatterns& pat, size_t w) const;
 
   EquivClassOptions options_;
-  const rtlil::Module* module_ = nullptr;
-  const rtlil::NetlistIndex* index_ = nullptr;
   aig::AigMap blast_;
   std::vector<rtlil::SigBit> input_bits_;
   std::unordered_map<uint32_t, size_t> input_node_index_;
-  std::unordered_map<const rtlil::Wire*, uint64_t> wire_order_;
-  size_t candidate_bits_ = 0;
+  /// Per AIG input: its pattern state (nullptr for an unmapped input).
+  std::vector<BitPatterns*> input_patterns_;
+  /// Every candidate bit of the current blast with its driver, topo position
+  /// and rank filled in; compute() only adds the signature polarity.
+  std::vector<EquivMember> members_;
 
-  std::vector<std::unordered_map<rtlil::SigBit, bool>> cex_;
+  size_t cex_count_ = 0;
   std::unordered_set<Hash128, Hash128Hasher> cex_seen_;
-  /// Rendered pattern words per input bit (base batches + full cex batches);
-  /// round-invariant, so compute() only renders what the pool grew by.
-  std::unordered_map<rtlil::SigBit, std::vector<uint64_t>> word_cache_;
+  /// Keyed by module bit, so the pool and rendered words survive re-blasts.
+  std::unordered_map<rtlil::SigBit, BitPatterns> word_cache_;
 };
 
 /// Content fingerprint of one cell: type, parameters, and canonicalized

@@ -538,8 +538,10 @@ FraigStats fraig_sweep(rtlil::Module& module, const FraigOptions& options) {
     ++stats.rounds;
     const obs::Span round_span("fraig", "fraig.round", "round",
                                static_cast<uint64_t>(round + 1));
-    if (module_changed)
+    if (module_changed) {
+      const obs::Span bind_span("fraig", "fraig.bind");
       eq.bind(module, index); // re-blast; cex-only rounds reuse the blast
+    }
     std::vector<EquivClass> classes = eq.compute(&pool);
     if (round == 0)
       stats.candidate_bits = eq.candidate_bits();
@@ -636,7 +638,10 @@ FraigStats fraig_sweep(rtlil::Module& module, const FraigOptions& options) {
     // Proven merges commit even when a budget tripped mid-round: "stop
     // taking new merges" means no further rounds, not discarding work whose
     // UNSAT proofs are already in hand.
-    const size_t committed = commit_merges(module, index, proven, stats);
+    const size_t committed = [&] {
+      const obs::Span commit_span("fraig", "fraig.commit");
+      return commit_merges(module, index, proven, stats);
+    }();
     module_changed = committed > 0;
     progress += committed;
     if (progress == 0)

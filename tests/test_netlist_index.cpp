@@ -1,5 +1,6 @@
 // NetlistIndex: driver/reader maps, fanout, output-port tracking,
 // topological order, topo_position, and cycle detection.
+#include "opt/muxtree_walker.hpp"
 #include "rtlil/topo.hpp"
 
 #include <gtest/gtest.h>
@@ -169,4 +170,103 @@ TEST(NetlistIndex, ConstantTiedBitsCanonicalizeToConstants) {
   EXPECT_EQ(b0.data, rtlil::State::S0);
   EXPECT_TRUE(b1.is_const());
   EXPECT_EQ(b1.data, rtlil::State::S1);
+}
+
+TEST(NetlistIndex, OtherModulesBitsMiss) {
+  // Two identical modules: every bit id of one names a driven, read or
+  // output bit of the other, so only the module check keeps them apart.
+  const auto build = [](Design& d) {
+    Module* m = d.add_module("top");
+    Wire* a = m->add_wire("a", 2);
+    m->set_port_input(a);
+    Wire* y = m->add_wire("y", 2);
+    m->set_port_output(y);
+    m->connect(SigSpec(y), m->Not(m->Not(SigSpec(a))));
+    return m;
+  };
+  Design d1, d2;
+  Module* m1 = build(d1);
+  Module* m2 = build(d2);
+  NetlistIndex index(*m1);
+  for (const auto& w : m2->wires())
+    for (int i = 0; i < w->width(); ++i) {
+      const SigBit foreign(w.get(), i);
+      EXPECT_EQ(index.sigmap()(foreign), foreign);
+      EXPECT_EQ(index.driver(foreign), nullptr) << w->name();
+      EXPECT_TRUE(index.readers(foreign).empty()) << w->name();
+      EXPECT_FALSE(index.drives_output_port(foreign)) << w->name();
+      EXPECT_EQ(index.fanout(foreign), 0) << w->name();
+    }
+  for (const auto& c : m2->cells())
+    EXPECT_EQ(index.topo_position(c.get()), -1);
+  // The same bit ids in the indexed module do hit.
+  EXPECT_NE(index.driver(SigBit(m1->wire("y"), 0)), nullptr);
+}
+
+TEST(NetlistIndex, WiresCreatedAfterTheIndexMissUntilIndexed) {
+  Fixture f;
+  Wire* a = f.in("a", 2);
+  f.mod->connect(SigSpec(f.out("y", 2)), f.mod->Not(SigSpec(a)));
+  NetlistIndex index(*f.mod);
+  // A rebuild-style edit the index is not told about: queries on the new
+  // wire's bits miss instead of reading past the per-bit vectors.
+  const SigSpec late = f.mod->Not(SigSpec(a));
+  EXPECT_EQ(index.driver(late[1]), nullptr);
+  EXPECT_TRUE(index.readers(late[1]).empty());
+  EXPECT_FALSE(index.drives_output_port(late[1]));
+  EXPECT_EQ(index.topo_position(f.mod->cells().back().get()), -1);
+}
+
+TEST(NetlistIndex, GrowsForCellsAndAliasesAddedAfterConstruction) {
+  Fixture f;
+  Wire* a = f.in("a", 4);
+  Wire* b = f.in("b", 4);
+  Wire* y = f.out("y", 4);
+  const SigSpec t = f.mod->And(SigSpec(a), SigSpec(b));
+  const SigSpec n = f.mod->Not(t);
+  f.mod->connect(SigSpec(y), n);
+  Cell* not_cell = f.mod->cells().back().get();
+  NetlistIndex index(*f.mod);
+  index.sigmap().flatten();
+
+  // add_cell: a late cell driving a late wire, slotted at a taken position
+  // (ties keep append order).
+  Wire* late = f.mod->add_wire("late", 4);
+  Cell* orc = f.mod->add_cell(CellType::Or);
+  orc->set_port(rtlil::Port::A, t);
+  orc->set_port(rtlil::Port::B, SigSpec(a));
+  orc->set_port(rtlil::Port::Y, SigSpec(late));
+  orc->infer_widths();
+  index.add_cell(orc, index.topo_position(not_cell));
+  index.compact_topo();
+  EXPECT_TRUE(rtlil::index_consistent(*f.mod, index));
+  EXPECT_EQ(index.driver(SigBit(late, 3)), orc);
+  EXPECT_EQ(index.readers(t[0]).size(), 2u);
+
+  // add_alias: route a late wire onto an existing net.
+  Wire* tap = f.mod->add_wire("tap", 4);
+  index.add_alias(SigSpec(tap), SigSpec(late));
+  f.mod->connect(SigSpec(tap), SigSpec(late));
+  EXPECT_EQ(index.sigmap()(SigBit(tap, 2)), SigBit(late, 2));
+  EXPECT_TRUE(rtlil::index_consistent(*f.mod, index));
+
+  // apply_sweep_journal: drop the Not, alias its output onto `late`, and add
+  // a late Xor reading the output net — slotted at its driver's position,
+  // since that driver is `orc` once the alias lands.
+  Wire* x = f.mod->add_wire("x", 4);
+  Cell* xorc = f.mod->add_cell(CellType::Xor);
+  xorc->set_port(rtlil::Port::A, n);
+  xorc->set_port(rtlil::Port::B, SigSpec(b));
+  xorc->set_port(rtlil::Port::Y, SigSpec(x));
+  xorc->infer_widths();
+  opt::SweepJournal journal;
+  journal.removed.push_back(not_cell);
+  journal.added.push_back({xorc, index.topo_position(orc)});
+  journal.connects.emplace_back(n, SigSpec(late));
+  opt::apply_sweep_journal(*f.mod, index, journal, /*finalize=*/true);
+  EXPECT_TRUE(rtlil::index_consistent(*f.mod, index));
+  EXPECT_EQ(index.driver(SigBit(y, 1)), orc);
+  EXPECT_TRUE(index.drives_output_port(SigBit(late, 0)));
+  EXPECT_EQ(index.topo_order().size(), f.mod->cells().size());
+  EXPECT_LT(index.topo_position(orc), index.topo_position(xorc));
 }
