@@ -1,28 +1,30 @@
-// Oracle engine benchmark: from-scratch InferenceOracle vs IncrementalOracle
-// over the public + industrial circuits, emitting the BENCH_oracle.json
-// schema (per-circuit speedup, cache hit rates, SAT effort, and a
-// decisions_match differential).
+// §II oracle benchmark: the serial muxtree walk (opt::optimize_muxtrees +
+// InferenceOracle) run twice over the public + industrial circuits on one
+// portable decision memo — cold (empty memo, filled as the walk goes) then
+// warm (the memo the cold run left) — emitting the BENCH_oracle.json schema
+// (per-circuit oracle time, memo traffic, SAT effort, and a decisions_match
+// differential).
 //
 //   ./bench_oracle [--smoke] [--json] [--filter <substr>]
 //
 //   --smoke   small circuit subset (<5 s) — the tier-2 CTest target. Exits
-//             nonzero if any circuit's incremental decisions diverge from the
-//             baseline's, or if the caches never hit (a dead cache is a
-//             regression even when decisions still match).
+//             nonzero if any circuit's warm decisions diverge from the cold
+//             run's, or if the warm memo never hit (a memo that is never
+//             consulted is a regression even when decisions still match).
 //   --json    print the JSON document to stdout (human table otherwise).
 //   --filter  run only circuits whose name contains <substr> (the industrial
 //             rows dominate a full run; iterate on a subset instead).
 //
-// Both arms run the same walk (opt::optimize_muxtrees) on clones of the same
-// pre-optimized design; `*_seconds` is time spent inside oracle decide()
-// calls, `*_pass_seconds` the whole walk. Decisions are traced as
-// (control-bit name, verdict) hashes and compared element-wise, so
-// decisions_match certifies bit-identical verdicts in query order.
+// Both arms run the same walk on clones of the same pre-optimized design;
+// `*_seconds` is time spent inside oracle decide() calls, `*_pass_seconds`
+// the whole walk. Decisions are traced as (control-bit name, verdict) hashes
+// and compared element-wise, so decisions_match certifies bit-identical
+// verdicts in query order.
 #include "bench_json.hpp"
 #include "benchgen/industrial.hpp"
 #include "benchgen/public_bench.hpp"
-#include "core/incremental_oracle.hpp"
 #include "core/sat_redundancy.hpp"
+#include "service/warm_cache.hpp"
 
 #include <chrono>
 #include <cstdio>
@@ -59,9 +61,6 @@ public:
     return d;
   }
 
-  void notify_cell_mutated(rtlil::Cell* cell) override { inner_.notify_cell_mutated(cell); }
-  void notify_cell_removed(rtlil::Cell* cell) override { inner_.notify_cell_removed(cell); }
-
   double seconds = 0;
   std::vector<uint64_t> trace;
 
@@ -69,13 +68,31 @@ private:
   opt::MuxtreeOracle& inner_;
 };
 
+/// One arm: the serial walk on a clone of `prepared`, timed and traced.
+struct Arm {
+  double seconds = 0, pass_seconds = 0;
+  core::SatRedundancyStats stats;
+  std::vector<uint64_t> trace;
+};
+
+Arm run_arm(const rtlil::Design& prepared, const core::SatRedundancyOptions& options) {
+  Arm arm;
+  const auto design = rtlil::clone_design(prepared);
+  core::InferenceOracle oracle(options);
+  RecordingOracle recording(oracle);
+  const auto t0 = std::chrono::steady_clock::now();
+  opt::optimize_muxtrees(*design->top(), recording);
+  arm.pass_seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  arm.seconds = recording.seconds;
+  arm.stats = oracle.stats();
+  arm.trace = std::move(recording.trace);
+  return arm;
+}
+
 struct Row {
   std::string name;
   size_t queries = 0;
-  double baseline_seconds = 0, incremental_seconds = 0;
-  double baseline_pass_seconds = 0, incremental_pass_seconds = 0;
-  core::SatRedundancyStats base_stats;
-  core::IncrementalOracleStats incr_stats;
+  Arm cold, warm;
   bool decisions_match = false;
 };
 
@@ -84,67 +101,48 @@ Row run_circuit(const benchgen::BenchCircuit& circuit, util::ResourceGuard& guar
   row.name = circuit.name;
   const auto prepared = benchjson::prepare_muxtree_design(circuit.verilog);
 
-  const auto baseline_design = rtlil::clone_design(*prepared);
-  core::SatRedundancyOptions base_options;
-  base_options.guard = &guard; // unlimited: charges totals for the resource block
-  core::InferenceOracle baseline_oracle(base_options);
-  RecordingOracle baseline(baseline_oracle);
-  auto t0 = std::chrono::steady_clock::now();
-  opt::optimize_muxtrees(*baseline_design->top(), baseline);
-  row.baseline_pass_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  service::OracleMemo memo; // per circuit: the warm arm replays only its own cold run
+  core::SatRedundancyOptions options;
+  options.guard = &guard; // unlimited: charges totals for the resource block
+  options.memo = &memo;
+  row.cold = run_arm(*prepared, options);
+  row.warm = run_arm(*prepared, options);
 
-  const auto incremental_design = rtlil::clone_design(*prepared);
-  core::IncrementalOracleOptions incr_options;
-  incr_options.base = base_options;
-  core::IncrementalOracle incremental_oracle(incr_options);
-  RecordingOracle incremental(incremental_oracle);
-  t0 = std::chrono::steady_clock::now();
-  opt::optimize_muxtrees(*incremental_design->top(), incremental);
-  row.incremental_pass_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-
-  row.queries = baseline.trace.size();
-  row.baseline_seconds = baseline.seconds;
-  row.incremental_seconds = incremental.seconds;
-  row.base_stats = baseline_oracle.stats();
-  row.incr_stats = incremental_oracle.stats();
-  row.decisions_match = baseline.trace == incremental.trace;
+  row.queries = row.cold.trace.size();
+  row.decisions_match = row.cold.trace == row.warm.trace;
   if (!row.decisions_match) {
     size_t i = 0;
-    const size_t n = std::min(baseline.trace.size(), incremental.trace.size());
-    while (i < n && baseline.trace[i] == incremental.trace[i])
+    const size_t n = std::min(row.cold.trace.size(), row.warm.trace.size());
+    while (i < n && row.cold.trace[i] == row.warm.trace[i])
       ++i;
-    std::fprintf(stderr,
-                 "DECISION MISMATCH on %s: query %zu of %zu/%zu (baseline/incremental)\n",
-                 row.name.c_str(), i, baseline.trace.size(), incremental.trace.size());
+    std::fprintf(stderr, "DECISION MISMATCH on %s: query %zu of %zu/%zu (cold/warm)\n",
+                 row.name.c_str(), i, row.cold.trace.size(), row.warm.trace.size());
   }
   return row;
 }
 
 void print_json_row(const Row& r, bool last) {
-  const auto& is = r.incr_stats;
-  const double cone_total = double(is.cone_cache_hits + is.cone_cache_misses);
+  const core::SatRedundancyStats& cs = r.cold.stats;
+  const core::SatRedundancyStats& ws = r.warm.stats;
   benchjson::JsonObject o;
   o.put("name", r.name)
       .put("queries", r.queries)
-      .putf("baseline_seconds", r.baseline_seconds)
-      .putf("incremental_seconds", r.incremental_seconds)
-      .putf("speedup", ratio(r.baseline_seconds, r.incremental_seconds), 3)
-      .putf("baseline_pass_seconds", r.baseline_pass_seconds)
-      .putf("incremental_pass_seconds", r.incremental_pass_seconds)
-      .putf("queries_per_sec_baseline", ratio(double(r.queries), r.baseline_seconds), 1)
-      .putf("queries_per_sec_incremental", ratio(double(r.queries), r.incremental_seconds), 1)
-      .putf("sim_filter_kill_rate", ratio(double(is.sim_filter_kills), double(is.queries)))
-      .putf("cone_cache_hit_rate", ratio(double(is.cone_cache_hits), cone_total))
-      .putf("subgraph_cache_hit_rate", ratio(double(is.decision_cache_hits), double(is.queries)))
-      .put("sim_filter_kills", is.sim_filter_kills)
-      .put("sim_filter_half", is.sim_filter_half)
-      .put("sat_calls_baseline", r.base_stats.sat_calls)
-      .put("sat_calls_incremental", is.sat_calls)
-      .put("solver_conflicts_baseline", static_cast<unsigned long long>(r.base_stats.solver_conflicts))
-      .put("solver_conflicts_incremental", static_cast<unsigned long long>(is.solver_conflicts))
-      .put("cells_remapped", is.cells_remapped)
+      .putf("cold_seconds", r.cold.seconds)
+      .putf("warm_seconds", r.warm.seconds)
+      .putf("speedup", ratio(r.cold.seconds, r.warm.seconds), 3)
+      .putf("cold_pass_seconds", r.cold.pass_seconds)
+      .putf("warm_pass_seconds", r.warm.pass_seconds)
+      .putf("queries_per_sec_cold", ratio(double(r.queries), r.cold.seconds), 1)
+      .putf("queries_per_sec_warm", ratio(double(r.queries), r.warm.seconds), 1)
+      .putf("sim_filter_kill_rate", ratio(double(cs.sim_filter_kills), double(cs.queries)))
+      .put("sim_filter_kills", cs.sim_filter_kills)
+      .put("sim_filter_half", cs.sim_filter_half)
+      .put("sat_calls", cs.sat_calls)
+      .put("solver_conflicts", static_cast<unsigned long long>(cs.solver_conflicts))
+      .put("memo_inserts", cs.portable_inserts)
+      .put("memo_hits_cold", cs.portable_hits)
+      .put("memo_hits_warm", ws.portable_hits)
+      .put("memo_misses_warm", ws.portable_misses)
       .put("decisions_match", r.decisions_match);
   std::printf("    %s%s\n", o.str().c_str(), last ? "" : ",");
 }
@@ -175,11 +173,12 @@ int main(int argc, char** argv) {
       std::printf(
           "usage: bench_oracle [--smoke] [--json] [--filter <substr>]\n"
           "\n"
-          "From-scratch InferenceOracle vs IncrementalOracle differential over the\n"
-          "public + industrial circuits (BENCH_oracle.json schema).\n"
+          "Serial muxtree walk over the public + industrial circuits, cold then\n"
+          "warm on one portable decision memo (BENCH_oracle.json schema).\n"
           "\n"
           "  --smoke            small subset, <5 s; nonzero exit on decision\n"
-          "                     divergence or dead caches (the tier-2 CTest target)\n"
+          "                     divergence or a warm memo that never hit (the\n"
+          "                     tier-2 CTest target)\n"
           "  --json             emit the JSON document instead of the human table\n"
           "  --filter <substr>  run only circuits whose name contains <substr>\n"
           "                     (industrial runs dominate a full run; e.g.\n"
@@ -194,8 +193,7 @@ int main(int argc, char** argv) {
 
   std::vector<benchgen::BenchCircuit> circuits;
   if (smoke) {
-    // Small circuits only: representative of all three cache paths but
-    // comfortably under the 5 s smoke budget.
+    // Small circuits only: comfortably under the 5 s smoke budget.
     for (const auto& c : benchgen::public_suite())
       if (c.name == "pci_bridge32" || c.name == "mem_ctrl" || c.name == "tv80" ||
           c.name == "ac97_ctrl")
@@ -224,15 +222,11 @@ int main(int argc, char** argv) {
     }
     if (!json) {
       const Row& r = rows.back();
-      std::printf("%-16s %6zu queries  base %.4fs  incr %.4fs  speedup %5.2fx  "
-                  "cone %4.0f%%  exact %4.0f%%  match %s\n",
-                  r.name.c_str(), r.queries, r.baseline_seconds, r.incremental_seconds,
-                  ratio(r.baseline_seconds, r.incremental_seconds),
-                  100.0 * ratio(double(r.incr_stats.cone_cache_hits),
-                                double(r.incr_stats.cone_cache_hits +
-                                       r.incr_stats.cone_cache_misses)),
-                  100.0 * ratio(double(r.incr_stats.decision_cache_hits),
-                                double(r.incr_stats.queries)),
+      std::printf("%-16s %6zu queries  cold %.4fs  warm %.4fs  speedup %5.2fx  "
+                  "memo hits %zu/%zu  match %s\n",
+                  r.name.c_str(), r.queries, r.cold.seconds, r.warm.seconds,
+                  ratio(r.cold.seconds, r.warm.seconds), r.warm.stats.portable_hits,
+                  r.warm.stats.portable_hits + r.warm.stats.portable_misses,
                   r.decisions_match ? "yes" : "NO");
     }
   }
@@ -241,19 +235,18 @@ int main(int argc, char** argv) {
   // covered only a subset — keep the aggregate loop right next to the rows it
   // aggregates). Pass-time totals ride along so the Amdahl gap between
   // decide() time and whole-walk time is tracked release-over-release.
-  size_t total_queries = 0;
-  double total_base = 0, total_incr = 0;
-  double total_base_pass = 0, total_incr_pass = 0;
+  size_t total_queries = 0, total_warm_hits = 0;
+  double total_cold = 0, total_warm = 0;
+  double total_cold_pass = 0, total_warm_pass = 0;
   bool all_match = true;
-  size_t total_cache_hits = 0;
   for (const Row& r : rows) {
     total_queries += r.queries;
-    total_base += r.baseline_seconds;
-    total_incr += r.incremental_seconds;
-    total_base_pass += r.baseline_pass_seconds;
-    total_incr_pass += r.incremental_pass_seconds;
+    total_warm_hits += r.warm.stats.portable_hits;
+    total_cold += r.cold.seconds;
+    total_warm += r.warm.seconds;
+    total_cold_pass += r.cold.pass_seconds;
+    total_warm_pass += r.warm.pass_seconds;
     all_match = all_match && r.decisions_match;
-    total_cache_hits += r.incr_stats.cone_cache_hits + r.incr_stats.decision_cache_hits;
   }
 
   if (json) {
@@ -261,28 +254,28 @@ int main(int argc, char** argv) {
                 "  \"circuits\": [\n");
     for (size_t i = 0; i < rows.size(); ++i)
       print_json_row(rows[i], i + 1 == rows.size());
-    std::printf("  ],\n  \"total\": {\"queries\": %zu, \"baseline_seconds\": %.4f, "
-                "\"incremental_seconds\": %.4f, \"speedup\": %.3f, "
-                "\"baseline_pass_seconds\": %.4f, \"incremental_pass_seconds\": %.4f, "
-                "\"pass_speedup\": %.3f},\n  \"resource\": %s,\n  \"obs\": %s\n}\n",
-                total_queries, total_base, total_incr, ratio(total_base, total_incr),
-                total_base_pass, total_incr_pass, ratio(total_base_pass, total_incr_pass),
-                benchjson::resource_json(guard.report()).c_str(),
+    std::printf("  ],\n  \"total\": {\"queries\": %zu, \"cold_seconds\": %.4f, "
+                "\"warm_seconds\": %.4f, \"speedup\": %.3f, "
+                "\"cold_pass_seconds\": %.4f, \"warm_pass_seconds\": %.4f, "
+                "\"pass_speedup\": %.3f, \"memo_hits_warm\": %zu},\n"
+                "  \"resource\": %s,\n  \"obs\": %s\n}\n",
+                total_queries, total_cold, total_warm, ratio(total_cold, total_warm),
+                total_cold_pass, total_warm_pass, ratio(total_cold_pass, total_warm_pass),
+                total_warm_hits, benchjson::resource_json(guard.report()).c_str(),
                 benchjson::obs_json(profile).c_str());
   } else {
-    std::printf("\nTotal: %zu queries, baseline %.4fs, incremental %.4fs, speedup %.2fx "
-                "(oracle trajectory: 2.7x)\n"
-                "       whole pass: baseline %.4fs, incremental %.4fs, speedup %.2fx\n",
-                total_queries, total_base, total_incr, ratio(total_base, total_incr),
-                total_base_pass, total_incr_pass, ratio(total_base_pass, total_incr_pass));
+    std::printf("\nTotal: %zu queries, cold %.4fs, warm %.4fs, speedup %.2fx\n"
+                "       whole pass: cold %.4fs, warm %.4fs, speedup %.2fx\n",
+                total_queries, total_cold, total_warm, ratio(total_cold, total_warm),
+                total_cold_pass, total_warm_pass, ratio(total_cold_pass, total_warm_pass));
   }
 
   if (!all_match) {
-    std::fprintf(stderr, "FAIL: incremental oracle decisions diverge from baseline\n");
+    std::fprintf(stderr, "FAIL: warm-memo decisions diverge from the cold run\n");
     return 1;
   }
-  if (total_cache_hits == 0) {
-    std::fprintf(stderr, "FAIL: caches never hit — incrementality regressed\n");
+  if (total_warm_hits == 0) {
+    std::fprintf(stderr, "FAIL: the warm memo never hit — the oracle stopped consulting it\n");
     return 1;
   }
   return 0;

@@ -12,8 +12,9 @@
 //   --threads  comma-separated worker counts (default 1,2,4,8).
 //
 // Arms per circuit (all on clones of the same pre-optimized design):
-//   * serial     — the PR-2 engine: optimize_muxtrees + one IncrementalOracle
-//                  (single-threaded reference for decisions_match).
+//   * serial     — optimize_muxtrees + one InferenceOracle, re-walking every
+//                  tree each sweep (single-threaded reference for
+//                  decisions_match).
 //   * threads=T  — the parallel deterministic sweep engine.
 // decisions_match compares canonical traces (schedule-/replay-insensitive);
 // netlist_deterministic / stats_deterministic require byte-identical
@@ -22,7 +23,6 @@
 #include "bench_json.hpp"
 #include "benchgen/industrial.hpp"
 #include "benchgen/public_bench.hpp"
-#include "core/incremental_oracle.hpp"
 #include "core/sat_redundancy.hpp"
 
 #include <chrono>
@@ -78,11 +78,11 @@ Row run_circuit(const benchgen::BenchCircuit& circuit, const std::vector<int>& t
   row.name = circuit.name;
   const auto prepared = benchjson::prepare_muxtree_design(circuit.verilog);
 
-  // Serial reference (PR-2 engine).
+  // Serial reference.
   opt::DecisionTrace serial_trace;
   {
     const auto design = rtlil::clone_design(*prepared);
-    core::IncrementalOracle oracle;
+    core::InferenceOracle oracle({});
     const auto t0 = std::chrono::steady_clock::now();
     const opt::MuxtreeStats ws =
         opt::optimize_muxtrees(*design->top(), oracle, &serial_trace);

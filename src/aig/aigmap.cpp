@@ -455,11 +455,6 @@ AigMap aigmap(const rtlil::Module& module, const rtlil::NetlistIndex& index) {
   return Mapper(module, index).run();
 }
 
-AigMap aigmap_cone(const rtlil::Module& module, const std::vector<rtlil::Cell*>& cells,
-                   const std::vector<rtlil::SigBit>& roots) {
-  return Mapper(module).run_cone(cells, roots);
-}
-
 AigMap aigmap_cone(const rtlil::Module& module, const rtlil::NetlistIndex& index,
                    const std::vector<rtlil::Cell*>& cells,
                    const std::vector<rtlil::SigBit>& roots) {

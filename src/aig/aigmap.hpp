@@ -35,12 +35,8 @@ AigMap aigmap(const rtlil::Module& module, const rtlil::NetlistIndex& index);
 /// Bit-blast only a sub-graph: the given `cells` are mapped (in topological
 /// order); any bit driven by a cell outside the set becomes an AIG input.
 /// AIG outputs are the requested `roots`. Used by the §II redundancy engine
-/// to hand a bounded sub-graph to simulation or SAT.
-AigMap aigmap_cone(const rtlil::Module& module, const std::vector<rtlil::Cell*>& cells,
-                   const std::vector<rtlil::SigBit>& roots);
-
-/// Cone mapping with a caller-provided NetlistIndex. Prefer this in query
-/// loops: building a whole-module index per cone dominates otherwise.
+/// to hand a bounded sub-graph to simulation or SAT, against the caller's
+/// NetlistIndex (building a whole-module index per cone would dominate).
 AigMap aigmap_cone(const rtlil::Module& module, const rtlil::NetlistIndex& index,
                    const std::vector<rtlil::Cell*>& cells,
                    const std::vector<rtlil::SigBit>& roots);

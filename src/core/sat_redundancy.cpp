@@ -2,8 +2,9 @@
 
 #include "aig/aigmap.hpp"
 #include "aig/cnf.hpp"
-#include "core/incremental_oracle.hpp"
 #include "core/inference.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "sim/packed_sim.hpp"
 #include "util/fault.hpp"
 #include "util/log.hpp"
@@ -14,7 +15,90 @@ namespace smartly::core {
 
 using opt::CtrlDecision;
 using opt::KnownMap;
+using rtlil::Cell;
 using rtlil::SigBit;
+
+namespace {
+
+/// Canonical, process-portable fingerprint of one oracle query: the cone's
+/// structure with every bit renamed to a dense first-appearance index, plus
+/// the target's and the known bits' roles and values. Pointer-free and
+/// name-free (names only fix the cell visiting order), so the same cone in
+/// another process — or another design — produces the same key, and two
+/// queries with equal keys are isomorphic and provably share their verdict.
+/// Warm-cache snapshots hold these keys: any change to how they are built
+/// (the salt included) needs a kWarmCacheVersion bump.
+Hash128 portable_query_key(const Subgraph& sg, const rtlil::SigMap& sigmap, SigBit ctrl,
+                           const KnownMap& known, uint64_t salt) {
+  // Visit cells in name order: SubgraphScratch's cell order is hash-table
+  // noise, and the key must not depend on it. Names are unique per module.
+  std::vector<const Cell*> cells(sg.cells.begin(), sg.cells.end());
+  std::sort(cells.begin(), cells.end(),
+            [](const Cell* a, const Cell* b) { return a->name() < b->name(); });
+
+  std::unordered_map<SigBit, uint64_t> dense;
+  auto id_of = [&](const SigBit& raw) -> uint64_t {
+    const SigBit bit = sigmap(raw);
+    if (!bit.is_wire()) // constants encode by value, disjoint from dense ids
+      return 0x4000000000000000ULL + static_cast<uint64_t>(bit.data);
+    return dense.emplace(bit, dense.size()).first->second;
+  };
+
+  Hash128 h = hash128_combine({salt, hash_mix(salt)}, cells.size());
+  for (const Cell* c : cells) {
+    const rtlil::CellParams& p = c->params();
+    uint64_t ch = hash_combine(0x9d5u, static_cast<uint64_t>(c->type()));
+    ch = hash_combine(ch, static_cast<uint64_t>(p.a_width));
+    ch = hash_combine(ch, static_cast<uint64_t>(p.b_width));
+    ch = hash_combine(ch, static_cast<uint64_t>(p.y_width));
+    ch = hash_combine(ch, static_cast<uint64_t>(p.width));
+    ch = hash_combine(ch, static_cast<uint64_t>(p.s_width));
+    ch = hash_combine(ch, (p.a_signed ? 2u : 0u) | (p.b_signed ? 1u : 0u));
+    for (int pi = 0; pi < rtlil::kPortCount; ++pi) {
+      const rtlil::Port port = static_cast<rtlil::Port>(pi);
+      if (!c->has_port(port))
+        continue;
+      ch = hash_combine(ch, 0x1000u + static_cast<uint64_t>(pi));
+      for (const SigBit& raw : c->port(port))
+        ch = hash_combine(ch, id_of(raw));
+    }
+    h = hash128_combine(h, ch);
+  }
+
+  h = hash128_combine(h, 0xC7A1u); // role separator
+  h = hash128_combine(h, id_of(ctrl));
+  // Pair values with dense ids and sort by id, so the pairing survives any
+  // known-map iteration order. Known bits outside the cone take fresh ids in
+  // SigBit order.
+  std::vector<std::pair<SigBit, bool>> sorted_known(known.begin(), known.end());
+  std::sort(sorted_known.begin(), sorted_known.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::vector<std::pair<uint64_t, bool>> kv;
+  kv.reserve(known.size());
+  for (const auto& [bit, value] : sorted_known)
+    kv.emplace_back(id_of(bit), value);
+  std::sort(kv.begin(), kv.end());
+  for (const auto& [id, value] : kv)
+    h = hash128_combine(h, id * 2 + (value ? 1 : 0));
+  return h;
+}
+
+} // namespace
+
+InferenceOracle::InferenceOracle(const SatRedundancyOptions& options) : options_(options) {
+  // Every decision-affecting knob is folded into the portable-memo keys:
+  // entries recorded under one configuration must never answer queries made
+  // under another (e.g. a wider sim threshold flips sim-vs-SAT routing).
+  uint64_t salt = hash_mix(0x736d6172746c79ULL); // "smartly"
+  salt = hash_combine(salt, static_cast<uint64_t>(options_.subgraph.depth));
+  salt = hash_combine(salt, options_.subgraph.relevance_filter ? 1 : 0);
+  salt = hash_combine(salt, static_cast<uint64_t>(options_.sim_max_inputs));
+  salt = hash_combine(salt, static_cast<uint64_t>(options_.sat_max_inputs));
+  salt = hash_combine(salt, static_cast<uint64_t>(options_.sat_conflict_budget));
+  salt = hash_combine(salt, options_.use_inference ? 1 : 0);
+  salt = hash_combine(salt, options_.use_sat ? 1 : 0);
+  options_salt_ = salt;
+}
 
 void InferenceOracle::begin_module(rtlil::Module& module) {
   module_ = &module;
@@ -31,10 +115,9 @@ void InferenceOracle::begin_module(rtlil::Module& module, const rtlil::NetlistIn
 CtrlDecision InferenceOracle::decide(SigBit ctrl, const KnownMap& known) {
   ++stats_.queries;
 
-  // Quarantined target (recovery layer): answer Unknown without deciding.
-  // Placed before every stage so the skip is independent of cache state —
-  // mirrored at the top of IncrementalOracle::decide (lockstep contract).
-  // The same unit keys the "oracle.solve" fault site below.
+  // Quarantined target (recovery layer): answer Unknown without deciding,
+  // before any stage or memo lookup. The same unit keys the "oracle.solve"
+  // fault site below.
   const uint64_t unit =
       ctrl.is_wire() ? util::bit_unit_id(ctrl.wire->name(), ctrl.offset) : 1;
   if (options_.quarantine != nullptr &&
@@ -65,6 +148,39 @@ CtrlDecision InferenceOracle::decide(SigBit ctrl, const KnownMap& known) {
   if (sg.cells.empty())
     return CtrlDecision::Unknown;
 
+  // Stage 2b: persistent cross-job memo (service warm cache). The canonical
+  // key renames every cone bit to a dense index, so a hit means some earlier
+  // run — possibly another process — drove an isomorphic cone through the
+  // full pipeline under identical options and got a definitive verdict.
+  Hash128 memo_key{};
+  const bool memo_armed = options_.memo != nullptr;
+  if (memo_armed) {
+    memo_key = portable_query_key(sg, index_->sigmap(), ctrl, known, options_salt_);
+    CtrlDecision memoized;
+    if (options_.memo->lookup(memo_key, &memoized)) {
+      ++stats_.portable_hits;
+      static obs::Counter& hits = obs::counter("oracle.memo_hits");
+      hits.add();
+      if (memoized == CtrlDecision::DeadPath)
+        ++stats_.dead_paths;
+      return memoized;
+    }
+    ++stats_.portable_misses;
+    static obs::Counter& misses = obs::counter("oracle.memo_misses");
+    misses.add();
+  }
+  // Every verdict below leaves through here. Zero/One/DeadPath are pure
+  // functions of the salted cone and always enter the memo; an Unknown only
+  // when `definitive` (proven not-forced or structurally out of scope) — a
+  // halt, fault or budget Unknown could resolve on a retry.
+  auto finish = [&](CtrlDecision d, bool definitive = false) {
+    if (memo_armed && (d != CtrlDecision::Unknown || definitive)) {
+      options_.memo->insert(memo_key, d);
+      ++stats_.portable_inserts;
+    }
+    return d;
+  };
+
   // Stage 3: Table I inference rules.
   if (options_.use_inference) {
     InferenceEngine engine(sg.cells, index_->sigmap());
@@ -74,15 +190,15 @@ CtrlDecision InferenceOracle::decide(SigBit ctrl, const KnownMap& known) {
     ok = ok && engine.propagate();
     if (!ok) {
       ++stats_.dead_paths;
-      return CtrlDecision::DeadPath;
+      return finish(CtrlDecision::DeadPath);
     }
     if (auto v = engine.value(ctrl)) {
       ++stats_.decided_inference;
-      return *v ? CtrlDecision::One : CtrlDecision::Zero;
+      return finish(*v ? CtrlDecision::One : CtrlDecision::Zero);
     }
   }
   if (!options_.use_sat)
-    return CtrlDecision::Unknown;
+    return finish(CtrlDecision::Unknown, /*definitive=*/true);
 
   // Stage 4: bit-blast the sub-graph; roots = ctrl + all known bits so the
   // path condition can be asserted even on sub-graph-internal signals.
@@ -100,7 +216,7 @@ CtrlDecision InferenceOracle::decide(SigBit ctrl, const KnownMap& known) {
   };
   const auto target_lit = aig_lit_of(ctrl);
   if (!target_lit)
-    return CtrlDecision::Unknown;
+    return finish(CtrlDecision::Unknown, /*definitive=*/true);
 
   std::vector<std::pair<aig::Lit, bool>> constraints;
   for (const auto& [bit, value] : known) {
@@ -123,34 +239,43 @@ CtrlDecision InferenceOracle::decide(SigBit ctrl, const KnownMap& known) {
     if (sr.early_exit)
       ++stats_.sim_filter_half;
     switch (sr.forced) {
-    case sim::Forced::Zero: ++stats_.decided_sim; return CtrlDecision::Zero;
-    case sim::Forced::One: ++stats_.decided_sim; return CtrlDecision::One;
-    case sim::Forced::Contradiction: ++stats_.dead_paths; return CtrlDecision::DeadPath;
-    case sim::Forced::None: return CtrlDecision::Unknown;
+    case sim::Forced::Zero: ++stats_.decided_sim; return finish(CtrlDecision::Zero);
+    case sim::Forced::One: ++stats_.decided_sim; return finish(CtrlDecision::One);
+    case sim::Forced::Contradiction:
+      ++stats_.dead_paths;
+      return finish(CtrlDecision::DeadPath);
+    case sim::Forced::None:
+      // Exhaustive enumeration proved "not forced": a definitive verdict.
+      return finish(CtrlDecision::Unknown, /*definitive=*/true);
     }
   }
 
   // Stage 4b: SAT. Skip if the sub-graph is too large ("threshold for the
   // number of inputs … to prevent the optimization process from becoming a
-  // bottleneck").
+  // bottleneck"). The threshold is in the memo salt, so the skip is
+  // deterministic and memoizable.
   if (n_inputs > options_.sat_max_inputs) {
     ++stats_.skipped_too_large;
-    return CtrlDecision::Unknown;
+    return finish(CtrlDecision::Unknown, /*definitive=*/true);
   }
 
   // Resource-governed skip: a halt observed mid-phase (deadline/cancel/fault
   // only — deterministic budgets arm the flag at engine barriers, after
   // which the engines stop querying) degrades the query to Unknown, which
-  // the walker treats as "leave the tree alone". Mirrored in
-  // IncrementalOracle::decide to keep the lockstep contract.
+  // the walker treats as "leave the tree alone".
   if ((options_.guard != nullptr && options_.guard->poll()) ||
       util::fault_unknown("oracle.solve", unit)) {
     ++stats_.skipped_halt;
     if (options_.guard != nullptr)
       options_.guard->note_skipped_solves();
-    return CtrlDecision::Unknown;
+    return finish(CtrlDecision::Unknown);
   }
 
+  // SAT stage: rare relative to the sim stage above, so one span per solved
+  // query is cheap; the span covers encode + both polarity solves.
+  const obs::Span solve_span("oracle", "oracle.solve", "unit", unit);
+  static obs::Counter& m_solves = obs::counter("oracle.solves");
+  m_solves.add();
   sat::Solver solver;
   solver.set_conflict_budget(options_.sat_conflict_budget);
   if (options_.guard != nullptr && options_.guard->wants_interrupts())
@@ -162,9 +287,6 @@ CtrlDecision InferenceOracle::decide(SigBit ctrl, const KnownMap& known) {
   for (const auto& [l, v] : constraints)
     assumptions.push_back(v ? enc.lit(l) : ~enc.lit(l));
 
-  // Keep this decision tree in lockstep with IncrementalOracle::decide
-  // (incremental_oracle.cpp): the incremental oracle's correctness bar is
-  // returning bit-identical verdicts to this code on every query.
   uint64_t conflicts_seen = 0;
   uint64_t propagations_seen = 0;
   auto solve_with = [&](bool target_value) {
@@ -187,17 +309,18 @@ CtrlDecision InferenceOracle::decide(SigBit ctrl, const KnownMap& known) {
     const sat::Result r0 = solve_with(false);
     if (r0 == sat::Result::Unsat) {
       ++stats_.dead_paths;
-      return CtrlDecision::DeadPath;
+      return finish(CtrlDecision::DeadPath);
     }
     ++stats_.decided_sat;
-    return CtrlDecision::Zero; // s=1 impossible
+    return finish(CtrlDecision::Zero); // s=1 impossible
   }
   const sat::Result r0 = solve_with(false);
   if (r0 == sat::Result::Unsat) {
     ++stats_.decided_sat;
-    return CtrlDecision::One; // s=0 impossible
+    return finish(CtrlDecision::One); // s=0 impossible
   }
-  return CtrlDecision::Unknown;
+  // Both-Sat is a proven "not forced"; a budget-exhausted Unknown is not.
+  return finish(CtrlDecision::Unknown, r1 == sat::Result::Sat && r0 == sat::Result::Sat);
 }
 
 SatRedundancyStats sat_redundancy(rtlil::Module& module, const SatRedundancyOptions& options) {
@@ -220,10 +343,8 @@ SatRedundancyStats sat_redundancy_parallel(rtlil::Module& module,
   po.quarantine = options.quarantine;
   if (max_iterations >= 0)
     po.max_iterations = std::min(po.max_iterations, static_cast<size_t>(max_iterations));
-  IncrementalOracleOptions io;
-  io.base = options;
-  po.make_oracle = [&io]() -> std::unique_ptr<opt::MuxtreeOracle> {
-    return std::make_unique<IncrementalOracle>(io);
+  po.make_oracle = [&options]() -> std::unique_ptr<opt::MuxtreeOracle> {
+    return std::make_unique<InferenceOracle>(options);
   };
 
   opt::ParallelSweepEngine engine(module, po);
@@ -231,12 +352,15 @@ SatRedundancyStats sat_redundancy_parallel(rtlil::Module& module,
   if (sweep_out)
     *sweep_out = sweep;
 
-  // Oracle state is per region, so every counter is a deterministic function
-  // of region content; the aggregate is the same for every thread count and
-  // region->worker assignment.
+  // Every counter is a sum over queries, and each query's verdict depends
+  // only on the module, so the aggregate over the per-worker oracles is the
+  // same for every thread count and region->worker assignment. (With a
+  // shared memo, which worker inserts a key first is scheduling noise, so
+  // the hit/miss split — and the stage counters a hit skips — can vary; the
+  // verdicts cannot.)
   SatRedundancyStats stats;
   for (const auto& oracle : engine.oracles()) {
-    const auto& os = static_cast<const IncrementalOracle&>(*oracle).stats();
+    const auto& os = static_cast<const InferenceOracle&>(*oracle).stats();
     stats.queries += os.queries;
     stats.decided_syntactic += os.decided_syntactic;
     stats.decided_inference += os.decided_inference;

@@ -17,33 +17,6 @@ using rtlil::SigBit;
 // so extraction and partitioning share one definition.
 using rtlil::combinational_adjacent_cells;
 
-uint64_t cell_content_hash(const rtlil::Cell& cell, const rtlil::SigMap& sigmap) {
-  uint64_t h = hash_mix(0x5eedc0de ^ static_cast<uint64_t>(cell.type()));
-  const auto& p = cell.params();
-  h = hash_combine(h, static_cast<uint64_t>(p.a_width));
-  h = hash_combine(h, static_cast<uint64_t>(p.b_width));
-  h = hash_combine(h, static_cast<uint64_t>(p.y_width));
-  h = hash_combine(h, static_cast<uint64_t>(p.width));
-  h = hash_combine(h, static_cast<uint64_t>(p.s_width));
-  h = hash_combine(h, static_cast<uint64_t>(p.a_signed) * 2 + static_cast<uint64_t>(p.b_signed));
-  for (int pi = 0; pi < rtlil::kPortCount; ++pi) {
-    const Port port = static_cast<Port>(pi);
-    if (!cell.has_port(port))
-      continue;
-    h = hash_combine(h, 0x1000u + static_cast<uint64_t>(pi));
-    for (const SigBit& raw : cell.port(port))
-      h = hash_combine(h, sigmap(raw).hash());
-  }
-  return h;
-}
-
-Hash128 Subgraph::fingerprint(const rtlil::SigMap& sigmap) const {
-  Hash128 fp = hash128_combine({}, cells.size());
-  for (const Cell* c : cells)
-    hash128_mix_unordered(fp, cell_content_hash(*c, sigmap));
-  return fp;
-}
-
 Subgraph SubgraphScratch::extract(const rtlil::Module& module, const NetlistIndex& index,
                                   SigBit target, const std::vector<SigBit>& known,
                                   const SubgraphOptions& options) {
@@ -91,15 +64,6 @@ Subgraph SubgraphScratch::extract(const rtlil::Module& module, const NetlistInde
     }
   }
   out.gates_before_filter = depth_.size();
-  // The ball is the decision's *support*: the walker only ever shrinks cell
-  // ports, so a later query with the same target/known re-derives the same
-  // answer unless some ball cell was mutated or removed in between. Callers
-  // caching decisions key their invalidation on exactly this set.
-  out.ball.reserve(depth_.size());
-  for (const auto& [cell, d] : depth_) {
-    (void)d;
-    out.ball.push_back(cell);
-  }
 
   // --- stage 2: Theorem II.1 relevance filter ------------------------------
   // A signal can constrain or be constrained by {target} ∪ known only through

@@ -10,7 +10,6 @@
 
 #include "rtlil/module.hpp"
 #include "rtlil/topo.hpp"
-#include "util/hashing.hpp"
 
 #include <deque>
 #include <unordered_map>
@@ -29,21 +28,8 @@ struct SubgraphOptions {
 struct Subgraph {
   std::vector<rtlil::Cell*> cells;           ///< combinational, topo-closed subset
   std::vector<rtlil::SigBit> boundary;       ///< canonical bits read but not driven inside
-  std::vector<rtlil::Cell*> ball;            ///< the full distance-k BFS ball
-  size_t gates_before_filter = 0;            ///< cells gathered by the distance-k BFS (= ball size)
-
-  /// Order-insensitive structural fingerprint of the cell set: cell types,
-  /// parameters, and every port's canonical bits. Two sub-graphs fingerprint
-  /// equal iff they contain content-identical cells over the same wires, so
-  /// the fingerprint content-addresses derived artifacts (AIG encodings)
-  /// across queries — no explicit invalidation needed: a mutated cell
-  /// changes its content and therefore the key.
-  Hash128 fingerprint(const rtlil::SigMap& sigmap) const;
+  size_t gates_before_filter = 0;            ///< cells gathered by the distance-k BFS
 };
-
-/// Structural hash of one cell under `sigmap` (type, params, canonical bits
-/// of every connected port, outputs included).
-uint64_t cell_content_hash(const rtlil::Cell& cell, const rtlil::SigMap& sigmap);
 
 /// Extract the sub-graph around `target` (a control-port bit) and the
 /// already-known signals. All bits must be canonical w.r.t. `index.sigmap()`.

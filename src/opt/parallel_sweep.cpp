@@ -7,8 +7,6 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <cstdlib>
 #include <deque>
 #include <stdexcept>
 #include <unordered_set>
@@ -38,7 +36,6 @@ struct RegionState {
   /// cross-region dirty test is pure hash lookups — no per-barrier BFS.
   /// Conservative between recomputes: local edits only shrink the closure.
   std::unordered_set<SigBit> closure_bits;
-  MuxtreeOracle* oracle = nullptr;
   bool dirty = true;
   bool alive = true;
   /// Barrier scratch: closure recompute flagged / overlap results.
@@ -119,18 +116,15 @@ ParallelSweepStats ParallelSweepEngine::run(DecisionTrace* trace) {
   ParallelSweepStats stats;
   NetlistIndex index(module_);
   index.sigmap().flatten();
-  oracles_.clear();
 
-  const bool debug_timing = std::getenv("SMARTLY_SWEEP_DEBUG") != nullptr;
-  auto now = [] { return std::chrono::steady_clock::now(); };
-  auto secs = [](std::chrono::steady_clock::time_point t0) {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  };
-
-  const auto stable_order = stable_cell_order(module_);
-  const MuxtreeForest forest = muxtree_forest(module_, index);
-  const RegionPartition partition =
-      partition_regions(module_, index, forest, options_.ball_radius);
+  std::unordered_map<const Cell*, uint32_t> stable_order;
+  RegionPartition partition;
+  {
+    const obs::Span span("sweep", "sweep.partition");
+    stable_order = stable_cell_order(module_);
+    const MuxtreeForest forest = muxtree_forest(module_, index);
+    partition = partition_regions(module_, index, forest, options_.ball_radius);
+  }
   stats.regions = partition.regions.size();
 
   // More workers than regions can ever run is pure spawn/join overhead (a
@@ -139,6 +133,12 @@ ParallelSweepStats ParallelSweepEngine::run(DecisionTrace* trace) {
                                   std::max<size_t>(partition.regions.size(), 1));
   util::ThreadPool pool(width);
   stats.threads_used = pool.size();
+  // One oracle per worker: a worker walks one region at a time, and the
+  // oracle derives every verdict from the current module, so which worker
+  // walks which region cannot change a decision.
+  oracles_.clear();
+  for (int w = 0; w < pool.size(); ++w)
+    oracles_.push_back(options_.make_oracle());
 
   std::vector<RegionState> regions(partition.regions.size());
   std::unordered_map<const Cell*, size_t> region_of; // mux tree cell -> region id
@@ -179,11 +179,10 @@ ParallelSweepStats ParallelSweepEngine::run(DecisionTrace* trace) {
       guard->note_skipped_regions(abandoned);
   };
 
-  std::vector<SigBit> rewired_bits; ///< removed output classes of the last barrier
   for (size_t iter = 0; iter < options_.max_iterations; ++iter) {
-    // Iteration barrier: deterministic budgets (charged by the region
-    // oracles) arm the sticky halt flag only here, so the same budget stops
-    // the sweep at the same iteration for every thread count.
+    // Iteration barrier: deterministic budgets (charged by the oracles) arm
+    // the sticky halt flag only here, so the same budget stops the sweep at
+    // the same iteration for every thread count.
     if (guard != nullptr && guard->checkpoint()) {
       halt_engine(util::BudgetKind::None);
       break;
@@ -203,7 +202,6 @@ ParallelSweepStats ParallelSweepEngine::run(DecisionTrace* trace) {
     ++stats.walker.iterations;
     const obs::Span iter_span("sweep", "sweep.iteration", "iter",
                               static_cast<uint64_t>(iter + 1));
-    auto t_iter = now();
 
     std::vector<RegionState*> work;
     std::vector<uint64_t> work_units; ///< stable region ids, parallel to work
@@ -228,29 +226,15 @@ ParallelSweepStats ParallelSweepEngine::run(DecisionTrace* trace) {
     if (work.empty())
       break;
 
-    // Oracle creation and cross-region invalidation stay on this thread:
-    // oracles_ grows here, and the rewired-net notification mirrors, for
-    // other regions' removals, what the oracle's own begin_module flush does
-    // for its own (see IncrementalOracle::notify_external_rewire).
-    for (RegionState* r : work) {
-      if (!r->oracle) {
-        oracles_.push_back(options_.make_oracle());
-        r->oracle = oracles_.back().get();
-      }
-      if (!rewired_bits.empty())
-        r->oracle->notify_external_rewire(rewired_bits);
-    }
-    rewired_bits.clear();
-
     // Parallel phase: the module and index are frozen except for in-place
     // input-port shrinks of each region's own tree cells, which no other
     // region's read closure can reach (see region_partition.hpp).
-    auto t_walk = now();
     std::vector<Slot> slots(work.size());
     bool faulted = false;
     try {
-      pool.run_batch(work.size(), [&](int, size_t i) {
-        RegionState& r = *work[i];
+      const obs::Span walk_span("sweep", "sweep.walk", "regions",
+                                static_cast<uint64_t>(work.size()));
+      pool.run_batch(work.size(), [&](int worker, size_t i) {
         // Mid-phase halts only come from deadline/cancel/faults; a skipped
         // region keeps an empty journal and is marked clean at the barrier
         // (a missed optimization, never an invalid state).
@@ -258,11 +242,12 @@ ParallelSweepStats ParallelSweepEngine::run(DecisionTrace* trace) {
             util::fault_unknown("sweep.region", work_units[i]))
           return;
         const obs::Span region_span("sweep", "sweep.region", "region", work_units[i]);
-        r.oracle->begin_module(module_, index);
+        MuxtreeOracle& oracle = *oracles_[static_cast<size_t>(worker)];
+        oracle.begin_module(module_, index);
         Slot& slot = slots[i];
-        MuxtreeWalker walker(index, *r.oracle, slot.stats, slot.journal,
+        MuxtreeWalker walker(index, oracle, slot.stats, slot.journal,
                              trace ? &slot.trace : nullptr, static_cast<uint32_t>(iter));
-        for (Cell* root : r.roots)
+        for (Cell* root : work[i]->roots)
           walker.walk_root(root, stable_order.at(root));
       });
     } catch (const util::FaultInjected& e) {
@@ -286,91 +271,84 @@ ParallelSweepStats ParallelSweepEngine::run(DecisionTrace* trace) {
       halt_engine(util::BudgetKind::Fault);
       break;
     }
-    const double walk_secs = secs(t_walk);
 
     // Barrier: aggregate and apply in canonical region order, so the
     // module's connection list, cell removals, and statistics are identical
     // for every thread count.
-    auto t_apply = now();
     bool any_change = false;
     // Both sides of every applied connect, in sweep-time *and* post-apply
     // canonicalization: the nets through which one region's edits can reach
     // another (foreign mux cells are excluded from every extraction ball by
     // the partition invariant, and foreign non-mux cells never change).
     std::unordered_set<SigBit> merge_bits;
-    for (size_t i = 0; i < work.size(); ++i) {
-      ++stats.region_walks;
-      accumulate(stats.walker, slots[i].stats);
-      if (trace)
-        trace->entries.insert(trace->entries.end(), slots[i].trace.entries.begin(),
-                              slots[i].trace.entries.end());
-      if (slots[i].journal.empty()) {
-        work[i]->dirty = false;
-        continue;
-      }
-      any_change = true;
-      // A region that edited anything re-runs: its own connects/constants can
-      // enable further decisions, exactly like the serial fixpoint.
-      work[i]->dirty = true;
-      for (const auto& [lhs, rhs] : slots[i].journal.connects)
-        for (const auto* spec : {&lhs, &rhs})
-          for (const SigBit& raw : *spec) {
-            const SigBit bit = index.sigmap()(raw);
-            if (bit.is_wire())
-              merge_bits.insert(bit); // sweep-time representative
-          }
-      for (Cell* c : slots[i].journal.removed) {
-        for (const SigBit& raw : c->port(c->output_port())) {
-          const SigBit bit = index.sigmap()(raw);
-          if (bit.is_wire())
-            rewired_bits.push_back(bit);
-        }
-        region_of.erase(c);
-      }
-      if (!slots[i].journal.removed.empty()) {
-        std::unordered_set<Cell*> dead(slots[i].journal.removed.begin(),
-                                       slots[i].journal.removed.end());
-        auto& cells = work[i]->tree_cells;
-        cells.erase(std::remove_if(cells.begin(), cells.end(),
-                                   [&](Cell* c) { return dead.count(c) != 0; }),
-                    cells.end());
-      }
-      apply_sweep_journal(module_, index, slots[i].journal, /*finalize=*/false);
-    }
-    if (any_change) {
-      index.compact_topo();
-      index.sigmap().flatten();
-    } else {
-      break;
-    }
     {
-      std::vector<SigBit> post;
-      post.reserve(merge_bits.size());
-      for (const SigBit& b : merge_bits)
-        post.push_back(index.sigmap()(b)); // post-apply representative
-      merge_bits.insert(post.begin(), post.end());
+      const obs::Span apply_span("sweep", "sweep.apply");
+      for (size_t i = 0; i < work.size(); ++i) {
+        ++stats.region_walks;
+        accumulate(stats.walker, slots[i].stats);
+        if (trace)
+          trace->entries.insert(trace->entries.end(), slots[i].trace.entries.begin(),
+                                slots[i].trace.entries.end());
+        if (slots[i].journal.empty()) {
+          work[i]->dirty = false;
+          continue;
+        }
+        any_change = true;
+        // A region that edited anything re-runs: its own connects/constants
+        // can enable further decisions, exactly like the serial fixpoint.
+        work[i]->dirty = true;
+        for (const auto& [lhs, rhs] : slots[i].journal.connects)
+          for (const auto* spec : {&lhs, &rhs})
+            for (const SigBit& raw : *spec) {
+              const SigBit bit = index.sigmap()(raw);
+              if (bit.is_wire())
+                merge_bits.insert(bit); // sweep-time representative
+            }
+        for (Cell* c : slots[i].journal.removed)
+          region_of.erase(c);
+        if (!slots[i].journal.removed.empty()) {
+          std::unordered_set<Cell*> dead(slots[i].journal.removed.begin(),
+                                         slots[i].journal.removed.end());
+          auto& cells = work[i]->tree_cells;
+          cells.erase(std::remove_if(cells.begin(), cells.end(),
+                                     [&](Cell* c) { return dead.count(c) != 0; }),
+                      cells.end());
+        }
+        apply_sweep_journal(module_, index, slots[i].journal, /*finalize=*/false);
+      }
+      if (any_change) {
+        index.compact_topo();
+        index.sigmap().flatten();
+        std::vector<SigBit> post;
+        post.reserve(merge_bits.size());
+        for (const SigBit& b : merge_bits)
+          post.push_back(index.sigmap()(b)); // post-apply representative
+        merge_bits.insert(post.begin(), post.end());
+      }
     }
-    const double apply_secs = secs(t_apply);
+    if (!any_change)
+      break;
 
     // Re-derive the muxtree forest only inside regions that edited anything:
     // tree edges never cross region boundaries, and an empty-journal region's
     // parent relation cannot have changed (its cells' output readers can only
     // gain/lose entries through its own connects/removals — a foreign mux
     // adjacent enough to matter would have merged regions at partition time).
-    auto t_forest = now();
-    for (size_t i = 0; i < work.size(); ++i) {
-      if (slots[i].journal.empty())
-        continue;
-      RegionState& r = *work[i];
-      r.roots.clear();
-      for (Cell* c : r.tree_cells)
-        if (!unique_mux_parent(index, c))
-          r.roots.push_back(c);
-      std::sort(r.roots.begin(), r.roots.end(), [&](Cell* a, Cell* b) {
-        return stable_order.at(a) < stable_order.at(b);
-      });
+    {
+      const obs::Span forest_span("sweep", "sweep.forest");
+      for (size_t i = 0; i < work.size(); ++i) {
+        if (slots[i].journal.empty())
+          continue;
+        RegionState& r = *work[i];
+        r.roots.clear();
+        for (Cell* c : r.tree_cells)
+          if (!unique_mux_parent(index, c))
+            r.roots.push_back(c);
+        std::sort(r.roots.begin(), r.roots.end(), [&](Cell* a, Cell* b) {
+          return stable_order.at(a) < stable_order.at(b);
+        });
+      }
     }
-    const double forest_secs = secs(t_forest);
 
     // Cross-region dirty propagation: a region whose closure reads one of
     // the merged nets must re-run, and — since the merge can extend its
@@ -378,7 +356,7 @@ ParallelSweepStats ParallelSweepEngine::run(DecisionTrace* trace) {
     // recomputed (parallel batch) and rechecked for new overlaps. Everything
     // else was already marked dirty by its own journal; shrink-only edits
     // cannot grow a closure, so their stale closure_bits stay conservative.
-    auto t_dirty = now();
+    const obs::Span dirty_span("sweep", "sweep.dirty");
     std::vector<size_t> flagged;
     for (size_t i = 0; i < regions.size(); ++i) {
       RegionState& r = regions[i];
@@ -387,7 +365,7 @@ ParallelSweepStats ParallelSweepEngine::run(DecisionTrace* trace) {
       r.recompute = false;
       r.overlaps.clear();
       if (r.tree_cells.empty()) {
-        // Every tree collapsed: nothing left to walk or to invalidate.
+        // Every tree collapsed: nothing left to walk.
         r.dirty = false;
         r.closure_bits.clear();
         continue;
@@ -407,8 +385,7 @@ ParallelSweepStats ParallelSweepEngine::run(DecisionTrace* trace) {
     });
 
     // Serial merge pass, ascending region id (deterministic). Merges are
-    // rare; merged regions start from a fresh oracle, which re-derives
-    // rather than re-uses — identical either way.
+    // rare.
     std::deque<size_t> recheck;
     for (size_t i = 0; i < regions.size(); ++i)
       if (regions[i].alive && regions[i].recompute && !regions[i].overlaps.empty())
@@ -444,32 +421,17 @@ ParallelSweepStats ParallelSweepEngine::run(DecisionTrace* trace) {
         victim.roots.clear();
         victim.tree_cells.clear();
         victim.closure_bits.clear();
-        victim.oracle = nullptr; // retired oracle stays in oracles_ for stats
         ++stats.region_merges;
       }
       std::sort(into.roots.begin(), into.roots.end(), [&](Cell* a, Cell* b) {
         return stable_order.at(a) < stable_order.at(b);
       });
-      into.oracle = nullptr; // constituents' caches cannot be merged
       into.dirty = true;
       // The union's closure needs its own overlap pass (rare path: serial).
       into.overlaps = refresh_closure(into, target, index, region_of, options_.ball_radius);
       if (!into.overlaps.empty())
         recheck.push_back(target);
     }
-    if (!options_.requeue_dirty_only) {
-      // Walk-everything fixpoint (differential/debug mode): clean-region
-      // walks are pure no-op replays, so this cannot change the result.
-      for (RegionState& r : regions)
-        if (r.alive && !r.tree_cells.empty())
-          r.dirty = true;
-    }
-    if (debug_timing)
-      std::fprintf(stderr,
-                   "sweep iter %zu: walks %zu, walk %.4fs, apply %.4fs, forest %.4fs, "
-                   "dirty %.4fs (flagged %zu), total %.4fs\n",
-                   iter, work.size(), walk_secs, apply_secs, forest_secs, secs(t_dirty),
-                   flagged.size(), secs(t_iter));
   }
 
   // Barrier-time totals: each is a pure function of the deterministic stats

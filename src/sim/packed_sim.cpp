@@ -44,8 +44,7 @@ SimResult exhaustive_forced_ex(const aig::Aig& aig,
     }
   }
 
-  std::vector<uint64_t> local_values;
-  std::vector<uint64_t>& values = options.scratch ? *options.scratch : local_values;
+  std::vector<uint64_t> values;
 
   std::vector<size_t> free_inputs;
   for (size_t i = 0; i < n_inputs; ++i)

@@ -34,9 +34,6 @@ enum class Forced {
 
 struct SimOptions {
   int max_free_inputs = 14; ///< give up (Forced::None) above 2^14 patterns
-
-  /// Optional reusable node-value buffer (see Aig::simulate_into).
-  std::vector<uint64_t>* scratch = nullptr;
 };
 
 struct SimResult {

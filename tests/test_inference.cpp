@@ -1,9 +1,10 @@
 // InferenceEngine: the paper's Table I rules for OR cells plus the analogous
-// rules for and/not/xor/mux/eq, propagation to fixpoint, and contradiction
-// detection.
+// rules for and/not/xor/mux/eq, propagation to fixpoint, contradiction
+// detection, and engine reuse through reset().
 #include "core/inference.hpp"
 #include "rtlil/module.hpp"
 #include "rtlil/sigmap.hpp"
+#include "rtlil/topo.hpp"
 
 #include <gtest/gtest.h>
 
@@ -319,4 +320,30 @@ TEST(Inference, NumKnownGrowsWithPropagation) {
   const size_t before = e.num_known();
   ASSERT_TRUE(e.propagate());
   EXPECT_GT(e.num_known(), before);
+}
+
+// --- InferenceEngine::reset --------------------------------------------------
+
+TEST(InferenceEngineReset, ReusedEngineMatchesFreshEngine) {
+  Fixture f;
+  Wire* s = f.w("s");
+  Wire* r = f.w("r");
+  const SigSpec sr = f.mod->Or(SigSpec(s), SigSpec(r));
+  const SigSpec srr = f.mod->And(sr, SigSpec(r));
+  f.mod->connect(SigSpec(f.mod->add_wire("y", 1)), srr);
+
+  rtlil::NetlistIndex index(*f.mod);
+  const std::vector<rtlil::Cell*> all_cells = f.all_cells();
+
+  InferenceEngine reused;
+  for (int round = 0; round < 3; ++round) {
+    reused.reset(all_cells, index.sigmap());
+    InferenceEngine fresh(all_cells, index.sigmap());
+    const bool value = round % 2 == 0;
+    EXPECT_EQ(reused.assume(index.sigmap()(SigBit(s, 0)), value),
+              fresh.assume(index.sigmap()(SigBit(s, 0)), value));
+    EXPECT_EQ(reused.propagate(), fresh.propagate());
+    EXPECT_EQ(reused.value(index.sigmap()(sr[0])), fresh.value(index.sigmap()(sr[0])));
+    EXPECT_EQ(reused.value(index.sigmap()(srr[0])), fresh.value(index.sigmap()(srr[0])));
+  }
 }

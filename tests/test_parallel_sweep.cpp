@@ -6,9 +6,10 @@
 #include "benchgen/public_bench.hpp"
 #include "benchgen/random_circuit.hpp"
 #include "cec/cec.hpp"
-#include "core/incremental_oracle.hpp"
 #include "core/sat_redundancy.hpp"
 #include "core/smartly_pass.hpp"
+#include "opt/opt_clean.hpp"
+#include "opt/opt_expr.hpp"
 #include "opt/parallel_sweep.hpp"
 #include "opt/pipeline.hpp"
 #include "opt/region_partition.hpp"
@@ -108,7 +109,7 @@ TEST(ParallelSweep, DecisionsMatchSerialEngine) {
     auto serial_design = rtlil::clone_design(*golden);
     opt::coarse_opt(*serial_design->top());
     opt::DecisionTrace serial_trace;
-    core::IncrementalOracle oracle;
+    core::InferenceOracle oracle({});
     opt::optimize_muxtrees(*serial_design->top(), oracle, &serial_trace);
 
     for (int threads : {1, 3}) {
@@ -183,7 +184,7 @@ TEST(ParallelSweep, IncrementalIndexMatchesRebuildAfterSweep) {
 
   rtlil::NetlistIndex incremental(top);
   incremental.sigmap().flatten();
-  core::IncrementalOracle oracle;
+  core::InferenceOracle oracle({});
   opt::MuxtreeStats stats;
   size_t sweeps = 0;
   for (size_t iter = 0; iter < 16; ++iter) {
@@ -226,26 +227,36 @@ TEST(ParallelSweep, IncrementalIndexMatchesRebuildAfterSweep) {
   }
 }
 
-TEST(ParallelSweep, WalkEverythingModeChangesNothingButTheSkips) {
-  // requeue_dirty_only=false mirrors the serial walk-everything fixpoint;
-  // clean-region walks are no-op replays, so the netlist must be identical.
-  const auto golden = load(benchgen::public_suite().front().verilog);
-  auto dirty_only = rtlil::clone_design(*golden);
-  opt::coarse_opt(*dirty_only->top());
-  auto walk_all = rtlil::clone_design(*golden);
-  opt::coarse_opt(*walk_all->top());
+TEST(ParallelSweep, NetlistMatchesSerialEngineAfterCleanup) {
+  // The parallel engine re-walks only dirty regions; the serial engine
+  // re-walks every tree each sweep. Clean-region walks are no-op replays, so
+  // after the usual opt_expr/opt_clean both must print the same netlist.
+  auto finish = [](rtlil::Module& m) {
+    opt::opt_expr(m);
+    opt::opt_clean(m);
+    return backend::write_rtlil(m);
+  };
+  for (const auto& c : benchgen::public_suite()) {
+    if (c.name != "pci_bridge32" && c.name != "wb_conmax" && c.name != "usb_funct")
+      continue;
+    SCOPED_TRACE(c.name);
+    const auto golden = load(c.verilog);
 
-  opt::ParallelSweepOptions po;
-  po.threads = 2;
-  po.make_oracle = [] { return std::make_unique<core::IncrementalOracle>(); };
-  const opt::ParallelSweepStats fast = opt::parallel_sweep(*dirty_only->top(), po);
-  po.requeue_dirty_only = false;
-  const opt::ParallelSweepStats full = opt::parallel_sweep(*walk_all->top(), po);
+    auto serial_design = rtlil::clone_design(*golden);
+    opt::coarse_opt(*serial_design->top());
+    core::InferenceOracle oracle({});
+    opt::optimize_muxtrees(*serial_design->top(), oracle);
+    const std::string serial = finish(*serial_design->top());
 
-  EXPECT_EQ(backend::write_rtlil(*dirty_only->top()), backend::write_rtlil(*walk_all->top()));
-  EXPECT_EQ(full.regions_skipped_clean, 0u);
-  EXPECT_GE(full.region_walks, fast.region_walks);
-  EXPECT_GT(fast.regions_skipped_clean, 0u);
+    for (int threads : {1, 3}) {
+      auto parallel_design = rtlil::clone_design(*golden);
+      opt::coarse_opt(*parallel_design->top());
+      opt::ParallelSweepStats sweep;
+      core::sat_redundancy_parallel(*parallel_design->top(), {}, threads, nullptr, &sweep);
+      EXPECT_GT(sweep.regions_skipped_clean, 0u) << "threads=" << threads;
+      EXPECT_EQ(finish(*parallel_design->top()), serial) << "threads=" << threads;
+    }
+  }
 }
 
 TEST(ParallelSweep, EmptyAndMuxFreeModules) {
@@ -253,7 +264,7 @@ TEST(ParallelSweep, EmptyAndMuxFreeModules) {
   rtlil::Module* m = d.add_module("empty");
   opt::ParallelSweepOptions po;
   po.threads = 4;
-  po.make_oracle = [] { return std::make_unique<core::IncrementalOracle>(); };
+  po.make_oracle = [] { return std::make_unique<core::InferenceOracle>(core::SatRedundancyOptions{}); };
   const opt::ParallelSweepStats stats = opt::parallel_sweep(*m, po);
   EXPECT_EQ(stats.regions, 0u);
   EXPECT_EQ(stats.region_walks, 0u);

@@ -1,12 +1,19 @@
 // SAT-based redundancy elimination (§II): the InferenceOracle's decision
 // stages (syntactic / inference / simulation / SAT), the full pass on the
-// paper's Figure 1-3 shapes, and budget/threshold behaviour.
+// paper's Figure 1-3 shapes, budget/threshold behaviour, and the portable
+// decision memo (a warm memo must replay exactly the cold run's verdicts).
 #include "aig/aigmap.hpp"
+#include "backend/write_rtlil.hpp"
+#include "benchgen/public_bench.hpp"
+#include "benchgen/random_circuit.hpp"
 #include "cec/cec.hpp"
+#include "core/mux_restructure.hpp"
 #include "core/sat_redundancy.hpp"
 #include "opt/opt_clean.hpp"
 #include "opt/opt_expr.hpp"
+#include "opt/pipeline.hpp"
 #include "rtlil/module.hpp"
+#include "service/warm_cache.hpp"
 #include "verilog/elaborate.hpp"
 
 #include <gtest/gtest.h>
@@ -269,4 +276,215 @@ TEST(SatRedundancyPass, StatsAccounting) {
   EXPECT_GT(stats.queries, 0u);
   EXPECT_GT(stats.walker.mux_collapsed, 0u);
   EXPECT_GE(stats.gates_seen, stats.gates_kept);
+}
+
+// --- conflict budget and in-place rewrites ----------------------------------
+
+TEST(InferenceOracleTest, ConflictBudgetEdge) {
+  // ctrl = s & ((a+b)+c == a+(b+c)): forced One under s=1, but only after a
+  // few hundred conflicts. Budget 0 gives up, an unlimited budget proves it,
+  // and a budget of exactly the proof's conflict count still proves it.
+  Fixture f;
+  Wire* s = f.in("s");
+  Wire* a = f.in("a", 3);
+  Wire* b = f.in("b", 3);
+  Wire* c = f.in("c", 3);
+  const SigSpec lhs = f.mod->Add(f.mod->Add(SigSpec(a), SigSpec(b), 3), SigSpec(c), 3);
+  const SigSpec rhs = f.mod->Add(SigSpec(a), f.mod->Add(SigSpec(b), SigSpec(c), 3), 3);
+  const SigSpec ctrl = f.mod->And(SigSpec(s), f.mod->Eq(lhs, rhs));
+  f.mod->connect(SigSpec(f.out("y")), ctrl);
+  const KnownMap known{{SigBit(s, 0), true}};
+
+  auto decide = [&](int64_t budget, uint64_t* conflicts) {
+    SatRedundancyOptions opts;
+    opts.use_inference = false;
+    opts.sim_max_inputs = 0;
+    opts.sat_conflict_budget = budget;
+    InferenceOracle oracle(opts);
+    oracle.begin_module(*f.mod);
+    const CtrlDecision d = oracle.decide(ctrl[0], known);
+    if (conflicts)
+      *conflicts = oracle.stats().solver_conflicts;
+    return d;
+  };
+
+  uint64_t proof_conflicts = 0;
+  ASSERT_EQ(decide(-1, &proof_conflicts), CtrlDecision::One);
+  ASSERT_GT(proof_conflicts, 1u);
+  EXPECT_EQ(decide(0, nullptr), CtrlDecision::Unknown);
+  EXPECT_EQ(decide(static_cast<int64_t>(proof_conflicts), nullptr), CtrlDecision::One);
+}
+
+TEST(InferenceOracleTest, RederivedAfterInPlacePortRewrite) {
+  // ctrl = s | r. With s known true the oracle decides One. Then the walker
+  // rewires the or-cell in place to read a constant 0 instead of s; the same
+  // query on the same oracle must now be re-derived on the new structure
+  // (r unknown -> the bit is no longer forced).
+  Fixture f;
+  Wire* s = f.in("s");
+  Wire* r = f.in("r");
+  const SigSpec sr = f.mod->Or(SigSpec(s), SigSpec(r));
+  f.mod->connect(SigSpec(f.out("y")), sr);
+  rtlil::Cell* or_cell = f.mod->cells().front().get();
+
+  InferenceOracle oracle({});
+  oracle.begin_module(*f.mod);
+  const KnownMap known{{SigBit(s, 0), true}};
+  EXPECT_EQ(oracle.decide(sr[0], known), CtrlDecision::One);
+
+  SigSpec a = or_cell->port(rtlil::Port::A);
+  a[0] = SigBit(rtlil::State::S0);
+  or_cell->set_port(rtlil::Port::A, a);
+  EXPECT_EQ(oracle.decide(sr[0], known), CtrlDecision::Unknown);
+}
+
+// --- portable decision memo: cold vs warm -----------------------------------
+
+namespace {
+
+/// Records (control-bit name, decision) so traces from two clones of the
+/// same design are comparable.
+class TraceOracle final : public opt::MuxtreeOracle {
+public:
+  explicit TraceOracle(opt::MuxtreeOracle& inner) : inner_(inner) {}
+
+  void begin_module(Module& module) override { inner_.begin_module(module); }
+  void begin_module(Module& module, const rtlil::NetlistIndex& index) override {
+    inner_.begin_module(module, index);
+  }
+
+  CtrlDecision decide(SigBit ctrl, const KnownMap& known) override {
+    const CtrlDecision d = inner_.decide(ctrl, known);
+    std::string entry = ctrl.is_wire()
+                            ? ctrl.wire->name() + "[" + std::to_string(ctrl.offset) + "]"
+                            : std::string("const");
+    entry += "=";
+    entry += std::to_string(static_cast<int>(d));
+    trace.push_back(std::move(entry));
+    return d;
+  }
+
+  std::vector<std::string> trace;
+
+private:
+  opt::MuxtreeOracle& inner_;
+};
+
+std::string public_circuit(const std::string& name) {
+  for (const auto& circuit : benchgen::public_suite())
+    if (circuit.name == name)
+      return circuit.verilog;
+  ADD_FAILURE() << "no public circuit " << name;
+  return {};
+}
+
+std::unique_ptr<Design> prepare(const std::string& verilog) {
+  auto design = verilog::read_verilog(verilog);
+  Module& top = *design->top();
+  opt::coarse_opt(top);
+  core::mux_restructure(top, {});
+  opt::opt_expr(top);
+  opt::opt_clean(top);
+  return design;
+}
+
+/// One serial optimize_muxtrees run on a clone of `prepared`.
+std::vector<std::string> traced_walk(const Design& prepared, const SatRedundancyOptions& opts,
+                                     core::SatRedundancyStats* stats) {
+  const auto design = rtlil::clone_design(prepared);
+  InferenceOracle oracle(opts);
+  TraceOracle traced(oracle);
+  opt::optimize_muxtrees(*design->top(), traced);
+  *stats = oracle.stats();
+  return traced.trace;
+}
+
+/// Walk the same design memo-less, then cold and warm on one shared memo.
+/// All three decision traces must be identical, and the warm run must ask
+/// the memo exactly the cold run's questions, missing only where the cold
+/// run could not memoize. Returns the warm run's memo hits beyond the cold
+/// run's own repeats (callers require some).
+size_t expect_warm_memo_replays_cold(const std::string& verilog,
+                                     const SatRedundancyOptions& base = {}) {
+  const auto prepared = prepare(verilog);
+  core::SatRedundancyStats none, cold, warm;
+  const auto reference = traced_walk(*prepared, base, &none);
+
+  service::OracleMemo memo;
+  SatRedundancyOptions with_memo = base;
+  with_memo.memo = &memo;
+  const auto cold_trace = traced_walk(*prepared, with_memo, &cold);
+  const auto warm_trace = traced_walk(*prepared, with_memo, &warm);
+
+  auto divergence = [&](const std::vector<std::string>& trace) {
+    size_t i = 0;
+    while (i < trace.size() && i < reference.size() && trace[i] == reference[i])
+      ++i;
+    return i;
+  };
+  EXPECT_TRUE(cold_trace == reference) << "cold memo diverges at query " << divergence(cold_trace);
+  EXPECT_TRUE(warm_trace == reference) << "warm memo diverges at query " << divergence(warm_trace);
+  EXPECT_EQ(none.portable_hits + none.portable_misses, 0u);
+  EXPECT_EQ(warm.portable_hits + warm.portable_misses,
+            cold.portable_hits + cold.portable_misses);
+  // Only the cold run's non-definitive Unknowns (budget-exhausted) miss again.
+  EXPECT_EQ(warm.portable_misses, cold.portable_misses - cold.portable_inserts);
+  return warm.portable_hits - cold.portable_hits;
+}
+
+} // namespace
+
+TEST(PortableMemo, WarmReplaysColdOnPublicCircuits) {
+  for (const char* name : {"usb_funct", "ac97_ctrl"}) {
+    SCOPED_TRACE(name);
+    EXPECT_GT(expect_warm_memo_replays_cold(public_circuit(name)), 0u);
+  }
+}
+
+TEST(PortableMemo, WarmReplaysColdOnRandomCircuits) {
+  size_t replayed = 0; // some seeds never reach the memo stage
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE(seed);
+    replayed += expect_warm_memo_replays_cold(benchgen::random_verilog(seed * 0x9e37, 8));
+  }
+  EXPECT_GT(replayed, 0u);
+}
+
+TEST(PortableMemo, WarmReplaysColdOnSatHeavyConfiguration) {
+  // sim_max_inputs = 0 sends every cone-stage query to SAT; budget 1 leaves
+  // some of them budget-exhausted (never memoized), -1 proves them all.
+  for (const int64_t budget : {int64_t{1}, int64_t{-1}}) {
+    SCOPED_TRACE(budget);
+    SatRedundancyOptions opts;
+    opts.sim_max_inputs = 0;
+    opts.sat_conflict_budget = budget;
+    EXPECT_GT(expect_warm_memo_replays_cold(public_circuit("wb_conmax"), opts), 0u);
+  }
+}
+
+TEST(PortableMemo, SharedMemoAcrossParallelRuns) {
+  // One memo shared by sat_redundancy_parallel runs at 1 and 4 threads, as
+  // the service daemon shares it across jobs: after the first run every
+  // consult hits, and no run's netlist moves.
+  const auto prepared = prepare(public_circuit("wb_conmax"));
+  auto run = [&](int threads, core::PortableDecisionMemo* memo,
+                 core::SatRedundancyStats* stats) {
+    const auto design = rtlil::clone_design(*prepared);
+    SatRedundancyOptions opts;
+    opts.memo = memo;
+    *stats = core::sat_redundancy_parallel(*design->top(), opts, threads);
+    return backend::write_rtlil(*design->top());
+  };
+
+  core::SatRedundancyStats stats;
+  const std::string reference = run(1, nullptr, &stats);
+  service::OracleMemo memo;
+  EXPECT_EQ(run(1, &memo, &stats), reference);
+  EXPECT_GT(stats.portable_inserts, 0u);
+  for (const int threads : {4, 1}) {
+    SCOPED_TRACE(threads);
+    EXPECT_EQ(run(threads, &memo, &stats), reference);
+    EXPECT_EQ(stats.portable_misses, 0u);
+    EXPECT_GT(stats.portable_hits, 0u);
+  }
 }
