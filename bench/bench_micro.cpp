@@ -146,14 +146,13 @@ void BM_SatMiterEquivalent(benchmark::State& state) {
   const auto am = aig::aigmap(*m);
   for (auto _ : state) {
     sat::Solver s;
-    aig::CnfEncoder enc(s);
-    enc.encode(am.aig);
+    aig::ConeCnfEncoder enc(s, am.aig);
     // Assert output0 != output0 (trivially UNSAT but exercises encode+solve).
     if (am.aig.num_outputs() == 0) {
       state.SkipWithError("no outputs");
       break;
     }
-    const sat::Lit o = enc.lit(am.aig.output(0));
+    const sat::Lit o = enc.ensure(am.aig.output(0));
     const auto r = s.solve({o, ~o});
     if (r != sat::Result::Unsat)
       state.SkipWithError("x & !x must be UNSAT");

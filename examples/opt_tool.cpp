@@ -222,6 +222,7 @@ int replay_bundle(const std::string& dir) {
   const auto snapshot = rtlil::clone_design(*design);
 
   util::ResourceGuard guard((util::ResourceBudgets()));
+  guard.set_quarantine(&quarantine);
   bool faulted = false, miscompare = false;
   std::string site;
   uint64_t unit = 0;
@@ -231,19 +232,16 @@ int replay_bundle(const std::string& dir) {
     if (b.stage == "fraig") {
       sweep::FraigOptions o;
       o.guard = &guard;
-      o.quarantine = &quarantine;
       sweep::fraig_sweep(top, o);
       opt::opt_clean(top);
     } else if (b.stage == "rewrite") {
       rewrite::RewriteOptions o;
       o.guard = &guard;
-      o.quarantine = &quarantine;
       rewrite::rewrite_sweep(top, o);
       opt::opt_clean(top);
     } else if (b.stage == "sweep") {
       core::SatRedundancyOptions o;
       o.guard = &guard;
-      o.quarantine = &quarantine;
       core::sat_redundancy_parallel(top, o, /*threads=*/0);
       opt::opt_expr(top);
       opt::opt_clean(top);
@@ -611,8 +609,9 @@ int main(int argc, char** argv) {
       // Harness stage: corrupts the netlist deterministically. Unprotected
       // (no --recover) it survives to the output and --check exits 2; under
       // --paranoid it is detected, rolled back, and skipped (exit 4).
-      opt::run_protected_stage(top, "corrupt", trp, guarded ? &guard : nullptr,
-                               [](rtlil::Module& m, int) { corrupt_module(m); });
+      opt::run_protected_stage(
+          top, "corrupt", trp, guarded ? &guard : nullptr,
+          [](rtlil::Module& m, int, util::ResourceGuard&) { corrupt_module(m); });
     }
     if (reduce) {
       opt::opt_reduce(top);

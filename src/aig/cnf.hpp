@@ -9,35 +9,14 @@
 
 namespace smartly::aig {
 
-/// Encodes every node of an AIG as one SAT variable with the standard
-/// three-clause AND encoding: encode once, then solve under assumptions on
-/// `lit(...)`. Both §II oracles encode each SAT-sized cone into a fresh
-/// solver this way, one solver per query.
-class CnfEncoder {
-public:
-  explicit CnfEncoder(sat::Solver& solver) : solver_(solver) {}
-
-  /// Encode the whole graph (idempotent per encoder instance).
-  void encode(const Aig& aig);
-
-  /// SAT literal corresponding to an AIG literal.
-  sat::Lit lit(Lit aig_lit) const {
-    return sat::mk_lit(vars_.at(lit_node(aig_lit)), lit_compl(aig_lit));
-  }
-
-  sat::Solver& solver() noexcept { return solver_; }
-
-private:
-  sat::Solver& solver_;
-  std::vector<sat::Var> vars_;
-};
-
 /// Cone-restricted Tseitin encoding: only the transitive fanin of requested
-/// literals gets solver variables and clauses. The fraig engine keeps one
-/// whole-netlist AIG per refinement round but proves class miters over small
-/// cones of it; encoding the full graph per class would swamp the solver with
-/// inert clauses. Nodes are encoded at most once per encoder, so the joint
-/// cone of a class's members shares variables across its queries.
+/// literals gets solver variables and clauses (the standard three-clause AND
+/// encoding). The fraig engine keeps one whole-netlist AIG per refinement
+/// round but proves class miters over small cones of it; encoding the full
+/// graph per class would swamp the solver with inert clauses. The §II oracle
+/// and CEC encode their target and constraint cones the same way. Nodes are
+/// encoded at most once per encoder, so the joint cone of a class's members
+/// shares variables across its queries.
 class ConeCnfEncoder {
 public:
   ConeCnfEncoder(sat::Solver& solver, const Aig& aig) : solver_(solver), aig_(aig) {}

@@ -92,26 +92,23 @@ CecResult check_equivalence(const rtlil::Module& gold, const rtlil::Module& gate
   // solver spent 15.4 s solving; per-output solvers take 1.35 s, encoding
   // included, although they learn nothing across outputs.
   const obs::Span prove_span("cec", "cec.prove", "outputs", pairs.size());
+  util::ResourceGuard unlimited;
+  util::ResourceGuard& guard = options.guard != nullptr ? *options.guard : unlimited;
   for (const Pair& p : pairs) {
     // A halt (deadline, cancel, or a budget tripped by the engines upstream)
     // stops the proof here: remaining outputs stay unproven and the result
     // degrades to inconclusive instead of pretending equivalence.
-    if (options.guard != nullptr && options.guard->poll()) {
+    if (guard.poll()) {
       result.inconclusive = true;
       result.failing_output = p.name;
       return result;
     }
     sat::Solver solver;
-    if (options.guard != nullptr && options.guard->wants_interrupts())
-      solver.set_interrupt_check([g = options.guard] { return g->poll(); });
+    const sat::GuardLink link(solver, guard);
     solver.set_conflict_budget(options.conflict_budget);
     aig::ConeCnfEncoder enc(solver, graph);
     const sat::Result r = solver.solve({enc.ensure(p.diff)});
     m_queries.add(1);
-    if (options.guard != nullptr) {
-      options.guard->charge_conflicts(solver.stats().conflicts);
-      options.guard->charge_propagations(solver.stats().propagations);
-    }
     if (r == sat::Result::Unsat)
       continue;
     result.failing_output = p.name;

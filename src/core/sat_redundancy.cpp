@@ -8,6 +8,7 @@
 #include "sim/packed_sim.hpp"
 #include "util/fault.hpp"
 #include "util/log.hpp"
+#include "util/recovery.hpp"
 
 #include <algorithm>
 
@@ -85,7 +86,8 @@ Hash128 portable_query_key(const Subgraph& sg, const rtlil::SigMap& sigmap, SigB
 
 } // namespace
 
-InferenceOracle::InferenceOracle(const SatRedundancyOptions& options) : options_(options) {
+InferenceOracle::InferenceOracle(const SatRedundancyOptions& options)
+    : options_(options), guard_(options.guard != nullptr ? *options.guard : own_guard_) {
   // Every decision-affecting knob is folded into the portable-memo keys:
   // entries recorded under one configuration must never answer queries made
   // under another (e.g. a wider sim threshold flips sim-vs-SAT routing).
@@ -120,8 +122,7 @@ CtrlDecision InferenceOracle::decide(SigBit ctrl, const KnownMap& known) {
   // fault site below.
   const uint64_t unit =
       ctrl.is_wire() ? util::bit_unit_id(ctrl.wire->name(), ctrl.offset) : 1;
-  if (options_.quarantine != nullptr &&
-      options_.quarantine->contains("oracle.solve", unit)) {
+  if (guard_.quarantined("oracle.solve", unit)) {
     ++stats_.skipped_quarantine;
     return CtrlDecision::Unknown;
   }
@@ -263,11 +264,9 @@ CtrlDecision InferenceOracle::decide(SigBit ctrl, const KnownMap& known) {
   // only — deterministic budgets arm the flag at engine barriers, after
   // which the engines stop querying) degrades the query to Unknown, which
   // the walker treats as "leave the tree alone".
-  if ((options_.guard != nullptr && options_.guard->poll()) ||
-      util::fault_unknown("oracle.solve", unit)) {
+  if (guard_.poll() || util::fault_unknown("oracle.solve", unit)) {
     ++stats_.skipped_halt;
-    if (options_.guard != nullptr)
-      options_.guard->note_skipped_solves();
+    guard_.note_skipped_solves();
     return finish(CtrlDecision::Unknown);
   }
 
@@ -277,30 +276,21 @@ CtrlDecision InferenceOracle::decide(SigBit ctrl, const KnownMap& known) {
   static obs::Counter& m_solves = obs::counter("oracle.solves");
   m_solves.add();
   sat::Solver solver;
+  const sat::GuardLink link(solver, guard_);
   solver.set_conflict_budget(options_.sat_conflict_budget);
-  if (options_.guard != nullptr && options_.guard->wants_interrupts())
-    solver.set_interrupt_check([g = options_.guard] { return g->poll(); });
-  aig::CnfEncoder enc(solver);
-  enc.encode(cone.aig);
-
+  aig::ConeCnfEncoder enc(solver, cone.aig);
+  const sat::Lit target = enc.ensure(*target_lit);
   std::vector<sat::Lit> assumptions;
   for (const auto& [l, v] : constraints)
-    assumptions.push_back(v ? enc.lit(l) : ~enc.lit(l));
+    assumptions.push_back(v ? enc.ensure(l) : ~enc.ensure(l));
 
-  uint64_t conflicts_seen = 0;
-  uint64_t propagations_seen = 0;
   auto solve_with = [&](bool target_value) {
     ++stats_.sat_calls;
     std::vector<sat::Lit> a = assumptions;
-    a.push_back(target_value ? enc.lit(*target_lit) : ~enc.lit(*target_lit));
+    a.push_back(target_value ? target : ~target);
+    const uint64_t conflicts_before = solver.stats().conflicts;
     const sat::Result r = solver.solve(a);
-    stats_.solver_conflicts += solver.stats().conflicts - conflicts_seen;
-    if (options_.guard != nullptr) {
-      options_.guard->charge_conflicts(solver.stats().conflicts - conflicts_seen);
-      options_.guard->charge_propagations(solver.stats().propagations - propagations_seen);
-    }
-    conflicts_seen = solver.stats().conflicts;
-    propagations_seen = solver.stats().propagations;
+    stats_.solver_conflicts += solver.stats().conflicts - conflicts_before;
     return r;
   };
 
@@ -340,7 +330,6 @@ SatRedundancyStats sat_redundancy_parallel(rtlil::Module& module,
   po.threads = threads;
   po.ball_radius = options.subgraph.depth;
   po.guard = options.guard;
-  po.quarantine = options.quarantine;
   if (max_iterations >= 0)
     po.max_iterations = std::min(po.max_iterations, static_cast<size_t>(max_iterations));
   po.make_oracle = [&options]() -> std::unique_ptr<opt::MuxtreeOracle> {

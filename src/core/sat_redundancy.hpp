@@ -50,14 +50,11 @@ struct SatRedundancyOptions {
   bool use_sat = true;          ///< sim/SAT stage (ablatable; inference-only otherwise)
   /// Optional run-wide resource governor (not owned). The oracle charges its
   /// solver work here and answers Unknown without solving once a halt is
-  /// observed.
+  /// observed. Control bits whose bit_unit_id its quarantine set names under
+  /// "oracle.solve" are answered Unknown at the top of decide();
+  /// sat_redundancy_parallel hands the same guard to the sweep engine for
+  /// its "sweep.region"/"sweep.iteration" filters.
   util::ResourceGuard* guard = nullptr;
-  /// Units the recovery layer has quarantined (not owned; frozen during the
-  /// run). Control bits whose bit_unit_id is quarantined under "oracle.solve"
-  /// are answered Unknown at the top of decide(); sat_redundancy_parallel
-  /// also forwards the set to the sweep engine for its
-  /// "sweep.region"/"sweep.iteration" filters.
-  const util::QuarantineSet* quarantine = nullptr;
   /// Optional persistent cross-job decision memo (not owned; thread-safe);
   /// see PortableDecisionMemo.
   PortableDecisionMemo* memo = nullptr;
@@ -103,6 +100,8 @@ public:
 
 private:
   SatRedundancyOptions options_;
+  util::ResourceGuard own_guard_; ///< bound when options.guard is null
+  util::ResourceGuard& guard_;
   SatRedundancyStats stats_;
   /// Every decision-affecting option, folded into each memo key.
   uint64_t options_salt_ = 0;

@@ -33,10 +33,10 @@ SmartlyStats smartly_pass(rtlil::Module& module, const SmartlyOptions& options) 
   // One guard for the whole pass: every engine charges the same counters, so
   // the budgets cap the run, not each stage. Engines already carrying a
   // caller-provided guard (options.sat.guard etc.) keep it; the pass-level
-  // budgets only fill the slots left empty.
-  // Recovery also needs a guard armed even without budgets: the engines
-  // contain worker faults by tripping BudgetKind::Fault on it, which is how
-  // the transaction driver observes them.
+  // budgets only fill the slots left empty. Otherwise each stage runs on its
+  // own unlimited guard. Recovery needs the shared guard even without
+  // budgets: the engines report contained faults on it, and the transaction
+  // driver attaches the recovery context's quarantine set to it.
   util::ResourceGuard guard(options.budgets, options.cancel);
   util::ResourceGuard* gp = (options.budgets.any() || options.cancel != nullptr ||
                              options.recovery.enabled)
@@ -53,20 +53,13 @@ SmartlyStats smartly_pass(rtlil::Module& module, const SmartlyOptions& options) 
   rctx.engine_options = summarize_options(options);
   opt::RecoveryContext* rp = options.recovery.enabled ? &rctx : nullptr;
 
-  SatRedundancyOptions sat_opts = options.sat;
-  if (gp != nullptr && sat_opts.guard == nullptr)
-    sat_opts.guard = gp;
-  if (rp != nullptr && sat_opts.quarantine == nullptr)
-    sat_opts.quarantine = &rctx.quarantine;
-
-  // The guard the transaction driver must watch is the one the engines
-  // charge: a caller-provided guard (options.sat.guard) wins over the
-  // pass-local one — fault trips land on it, not on `guard`.
-  util::ResourceGuard* stage_guard = sat_opts.guard;
+  // The guard the transaction driver watches is the one the engines charge:
+  // a caller-provided guard (options.sat.guard) wins over the pass-local one.
+  util::ResourceGuard* stage_guard = options.sat.guard != nullptr ? options.sat.guard : gp;
 
   if (options.enable_rebuild) {
-    const opt::StageOutcome out =
-        opt::run_protected_stage(module, "rebuild", rp, stage_guard, [&](rtlil::Module& m, int) {
+    const opt::StageOutcome out = opt::run_protected_stage(
+        module, "rebuild", rp, stage_guard, [&](rtlil::Module& m, int, util::ResourceGuard&) {
           stats.rebuild = mux_restructure(m, options.rebuild);
           // Rebuilding disconnects eq cells and can expose constants.
           opt::opt_expr(m);
@@ -76,11 +69,11 @@ SmartlyStats smartly_pass(rtlil::Module& module, const SmartlyOptions& options) 
       stats.rebuild = MuxRestructureStats{};
   }
   if (options.enable_sat) {
-    const opt::StageOutcome out =
-        opt::run_protected_stage(module, "sweep", rp, stage_guard, [&](rtlil::Module& m, int cap) {
-          SatRedundancyOptions run = sat_opts;
-          if (cap >= 0)
-            run.guard = nullptr; // bisection probes never charge the run's budgets
+    const opt::StageOutcome out = opt::run_protected_stage(
+        module, "sweep", rp, stage_guard,
+        [&](rtlil::Module& m, int cap, util::ResourceGuard& guard) {
+          SatRedundancyOptions run = options.sat;
+          run.guard = &guard;
           stats.sat = sat_redundancy_parallel(m, run, options.threads,
                                               /*trace=*/nullptr, &stats.sweep, cap);
           opt::opt_expr(m);
@@ -96,8 +89,8 @@ SmartlyStats smartly_pass(rtlil::Module& module, const SmartlyOptions& options) 
     // SAT engine is disabled (Table III's "Rebuild" arm) the baseline
     // traversal must still run, or the comparison against Yosys would
     // penalize the Rebuild engine for work it never claimed to do.
-    const opt::StageOutcome out =
-        opt::run_protected_stage(module, "muxtree", rp, stage_guard, [&](rtlil::Module& m, int) {
+    const opt::StageOutcome out = opt::run_protected_stage(
+        module, "muxtree", rp, stage_guard, [&](rtlil::Module& m, int, util::ResourceGuard&) {
           stats.sat.walker = opt::opt_muxtree(m);
           opt::opt_expr(m);
           opt::opt_clean(m);
@@ -148,11 +141,12 @@ SmartlyStats smartly_flow(rtlil::Module& module, const SmartlyOptions& options) 
   rctx.engine_options = "coarse_opt";
   opt::RecoveryContext* rp = options.recovery.enabled ? &rctx : nullptr;
 
-  opt::run_protected_stage(module, "opt-pre", rp, nullptr,
-                           [](rtlil::Module& m, int) { opt::coarse_opt(m); });
+  const opt::StageBody coarse = [](rtlil::Module& m, int, util::ResourceGuard&) {
+    opt::coarse_opt(m);
+  };
+  opt::run_protected_stage(module, "opt-pre", rp, nullptr, coarse);
   SmartlyStats stats = smartly_pass(module, options);
-  opt::run_protected_stage(module, "opt-post", rp, nullptr,
-                           [](rtlil::Module& m, int) { opt::coarse_opt(m); });
+  opt::run_protected_stage(module, "opt-post", rp, nullptr, coarse);
   if (rp != nullptr)
     stats.recovery += rctx.stats;
   return stats;

@@ -29,8 +29,6 @@ Subgraph SubgraphScratch::extract(const rtlil::Module& module, const NetlistInde
   kept_.clear();
   bitq_.clear();
   seen_bits_.clear();
-  driven_.clear();
-  boundary_.clear();
 
   // --- stage 1: undirected ball of radius k around target + known ---------
   // ("all logical gates within a specified distance k from the control port")
@@ -86,7 +84,7 @@ Subgraph SubgraphScratch::extract(const rtlil::Module& module, const NetlistInde
       if (!d || d->type() == CellType::Dff)
         continue;
       if (!depth_.count(d))
-        continue; // outside the ball: becomes a boundary input
+        continue; // outside the ball: a free input of the sub-graph
       if (!kept_.insert(d).second)
         continue;
       for (Port p : d->input_ports())
@@ -101,21 +99,6 @@ Subgraph SubgraphScratch::extract(const rtlil::Module& module, const NetlistInde
   }
 
   out.cells.assign(kept_.begin(), kept_.end());
-
-  // --- boundary: bits read inside but not driven inside --------------------
-  for (Cell* c : out.cells)
-    for (const SigBit& raw : c->port(c->output_port())) {
-      const SigBit bit = index.sigmap()(raw);
-      if (bit.is_wire())
-        driven_.insert(bit);
-    }
-  for (Cell* c : out.cells)
-    for (Port p : c->input_ports())
-      for (const SigBit& raw : c->port(p)) {
-        const SigBit bit = index.sigmap()(raw);
-        if (bit.is_wire() && !driven_.count(bit) && boundary_.insert(bit).second)
-          out.boundary.push_back(bit);
-      }
   return out;
 }
 

@@ -26,9 +26,8 @@ struct SubgraphOptions {
 };
 
 struct Subgraph {
-  std::vector<rtlil::Cell*> cells;           ///< combinational, topo-closed subset
-  std::vector<rtlil::SigBit> boundary;       ///< canonical bits read but not driven inside
-  size_t gates_before_filter = 0;            ///< cells gathered by the distance-k BFS
+  std::vector<rtlil::Cell*> cells; ///< combinational, topo-closed subset
+  size_t gates_before_filter = 0;  ///< cells gathered by the distance-k BFS
 };
 
 /// Extract the sub-graph around `target` (a control-port bit) and the
@@ -40,7 +39,7 @@ Subgraph extract_subgraph(const rtlil::Module& module, const rtlil::NetlistIndex
 /// Reusable scratch space for extract_subgraph: clears hash-table buckets
 /// instead of reallocating them. The §II oracle issues thousands of
 /// extractions per module; per-query container construction is measurable.
-/// Produces a Subgraph whose cell *set*, boundary set, and counters are
+/// Produces a Subgraph whose cell *set* and counters are
 /// identical to extract_subgraph's (vector order may differ — no consumer
 /// depends on it).
 class SubgraphScratch {
@@ -57,8 +56,6 @@ private:
   std::unordered_set<rtlil::Cell*> kept_;
   std::deque<rtlil::SigBit> bitq_;
   std::unordered_set<rtlil::SigBit> seen_bits_;
-  std::unordered_set<rtlil::SigBit> driven_;
-  std::unordered_set<rtlil::SigBit> boundary_;
 };
 
 } // namespace smartly::core

@@ -4,6 +4,8 @@
 #include "obs/trace.hpp"
 #include "util/fault.hpp"
 #include "util/log.hpp"
+#include "util/recovery.hpp"
+#include "util/round_gate.hpp"
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
@@ -162,43 +164,17 @@ ParallelSweepStats ParallelSweepEngine::run(DecisionTrace* trace) {
     DecisionTrace trace;
   };
 
-  util::ResourceGuard* guard = options_.guard;
-  const auto halt_engine = [&](util::BudgetKind why) {
-    if (guard != nullptr) {
-      if (why != util::BudgetKind::None)
-        guard->halt(why);
-      guard->note_halted_engine();
-    }
-    stats.halted = 1;
-    size_t abandoned = 0;
-    for (const RegionState& r : regions)
-      if (r.alive && r.dirty && !r.tree_cells.empty())
-        ++abandoned;
-    stats.regions_skipped_halt = abandoned;
-    if (guard != nullptr && abandoned > 0)
-      guard->note_skipped_regions(abandoned);
-  };
+  util::RoundGate gate(options_.guard, "sweep.iteration");
+  util::ResourceGuard& guard = gate.guard();
 
   for (size_t iter = 0; iter < options_.max_iterations; ++iter) {
-    // Iteration barrier: deterministic budgets (charged by the oracles) arm
-    // the sticky halt flag only here, so the same budget stops the sweep at
-    // the same iteration for every thread count.
-    if (guard != nullptr && guard->checkpoint()) {
-      halt_engine(util::BudgetKind::None);
+    // Deterministic budgets are charged by the oracles; the sweep never
+    // grows the netlist, so no growth check here.
+    const util::RoundStep step = gate.begin_round(iter + 1);
+    if (step == util::RoundStep::Stop)
       break;
-    }
-    if (options_.quarantine != nullptr &&
-        options_.quarantine->contains("sweep.iteration", iter + 1)) {
-      // A previously faulting iteration: skip it, keep iterating.
-      ++stats.quarantined;
+    if (step == util::RoundStep::Skip)
       continue;
-    }
-    if (util::fault_point("sweep.iteration", iter + 1) != util::FaultAction::None) {
-      if (guard != nullptr)
-        guard->note_fault("sweep.iteration", iter + 1);
-      halt_engine(util::BudgetKind::Fault);
-      break;
-    }
     ++stats.walker.iterations;
     const obs::Span iter_span("sweep", "sweep.iteration", "iter",
                               static_cast<uint64_t>(iter + 1));
@@ -212,14 +188,11 @@ ParallelSweepStats ParallelSweepEngine::run(DecisionTrace* trace) {
         ++stats.regions_skipped_clean;
         continue;
       }
+      // A quarantined region is never dispatched. It stays dirty, so a later
+      // merge (which changes its id) gets a fresh chance.
       const uint64_t unit = region_unit_id(r.roots);
-      if (options_.quarantine != nullptr &&
-          options_.quarantine->contains("sweep.region", unit)) {
-        // Quarantined region: never dispatched. It stays dirty, so a later
-        // merge (which changes its id) gets a fresh chance.
-        ++stats.quarantined;
+      if (!gate.admit("sweep.region", unit))
         continue;
-      }
       work.push_back(&r);
       work_units.push_back(unit);
     }
@@ -230,16 +203,14 @@ ParallelSweepStats ParallelSweepEngine::run(DecisionTrace* trace) {
     // input-port shrinks of each region's own tree cells, which no other
     // region's read closure can reach (see region_partition.hpp).
     std::vector<Slot> slots(work.size());
-    bool faulted = false;
-    try {
+    const bool finished = gate.contain([&] {
       const obs::Span walk_span("sweep", "sweep.walk", "regions",
                                 static_cast<uint64_t>(work.size()));
       pool.run_batch(work.size(), [&](int worker, size_t i) {
         // Mid-phase halts only come from deadline/cancel/faults; a skipped
         // region keeps an empty journal and is marked clean at the barrier
         // (a missed optimization, never an invalid state).
-        if ((guard != nullptr && guard->poll()) ||
-            util::fault_unknown("sweep.region", work_units[i]))
+        if (guard.poll() || util::fault_unknown("sweep.region", work_units[i]))
           return;
         const obs::Span region_span("sweep", "sweep.region", "region", work_units[i]);
         MuxtreeOracle& oracle = *oracles_[static_cast<size_t>(worker)];
@@ -250,17 +221,12 @@ ParallelSweepStats ParallelSweepEngine::run(DecisionTrace* trace) {
         for (Cell* root : work[i]->roots)
           walker.walk_root(root, stable_order.at(root));
       });
-    } catch (const util::FaultInjected& e) {
+    });
+    if (!finished) {
       // Only the oracle can throw inside a walk, and every in-place port
       // edit is journaled before the next oracle call — so the slot journals
       // are complete records of what actually mutated. Apply them in
       // canonical region order to restore index consistency, then stop.
-      // Only injected faults are absorbed; real errors keep propagating.
-      faulted = true;
-      if (guard != nullptr)
-        guard->note_fault(e.site().c_str(), e.unit());
-    }
-    if (faulted) {
       for (size_t i = 0; i < work.size(); ++i) {
         accumulate(stats.walker, slots[i].stats);
         if (!slots[i].journal.empty())
@@ -268,7 +234,6 @@ ParallelSweepStats ParallelSweepEngine::run(DecisionTrace* trace) {
       }
       index.compact_topo();
       index.sigmap().flatten();
-      halt_engine(util::BudgetKind::Fault);
       break;
     }
 
@@ -432,6 +397,16 @@ ParallelSweepStats ParallelSweepEngine::run(DecisionTrace* trace) {
       if (!into.overlaps.empty())
         recheck.push_back(target);
     }
+  }
+
+  stats.quarantined = gate.quarantined();
+  if (gate.halted()) {
+    stats.halted = 1;
+    for (const RegionState& r : regions)
+      if (r.alive && r.dirty && !r.tree_cells.empty())
+        ++stats.regions_skipped_halt;
+    if (stats.regions_skipped_halt > 0)
+      guard.note_skipped_regions(stats.regions_skipped_halt);
   }
 
   // Barrier-time totals: each is a pure function of the deterministic stats

@@ -22,7 +22,6 @@
 #include "opt/muxtree_walker.hpp"
 #include "opt/region_partition.hpp"
 #include "util/budget.hpp"
-#include "util/recovery.hpp"
 
 #include <functional>
 #include <memory>
@@ -41,15 +40,12 @@ struct ParallelSweepOptions {
   /// Optional run-wide resource governor (not owned). Deterministic budgets
   /// are evaluated at iteration barriers against what the oracles charged;
   /// on halt the remaining dirty regions are skipped and the already-applied
-  /// journals stand (each edit is individually proven).
+  /// journals stand (each edit is individually proven). Its quarantine set,
+  /// when attached, drops regions whose stable id (the minimum bit_unit_id
+  /// over their roots' first output bits) is quarantined under
+  /// "sweep.region" and skips iterations quarantined under "sweep.iteration"
+  /// (util/round_gate.hpp).
   util::ResourceGuard* guard = nullptr;
-  /// Units the recovery layer has quarantined (not owned; frozen during the
-  /// run). Regions whose stable id (the minimum bit_unit_id over their roots'
-  /// first output bits) is quarantined under "sweep.region" are never
-  /// dispatched; iterations quarantined under "sweep.iteration" are skipped.
-  /// Both filters run single-threaded at the iteration barrier, so the skip
-  /// set is identical for every thread count.
-  const util::QuarantineSet* quarantine = nullptr;
 };
 
 struct ParallelSweepStats {

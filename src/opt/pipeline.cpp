@@ -14,21 +14,15 @@ sweep::FraigStats fraig_stage(rtlil::Module& module, const sweep::FraigOptions& 
                               RecoveryContext* recovery) {
   const obs::Span span("pipeline", "opt.fraig_stage");
   sweep::FraigStats stats;
-  sweep::FraigOptions opts = options;
-  if (recovery != nullptr)
-    opts.quarantine = &recovery->quarantine;
-  const StageBody body = [&](rtlil::Module& m, int max_rounds) {
-    sweep::FraigOptions run = opts;
-    if (max_rounds >= 0) {
-      // Bisection probe: cap the rounds and detach the shared guard so probe
-      // work never charges the run's real budgets.
+  const StageBody body = [&](rtlil::Module& m, int max_rounds, util::ResourceGuard& guard) {
+    sweep::FraigOptions run = options;
+    run.guard = &guard;
+    if (max_rounds >= 0)
       run.max_rounds = std::min(run.max_rounds, static_cast<size_t>(max_rounds));
-      run.guard = nullptr;
-    }
     stats = sweep::fraig_sweep(m, run); // overwrite: retries must not accumulate
     opt_clean(m);
   };
-  const StageOutcome out = run_protected_stage(module, "fraig", recovery, opts.guard, body);
+  const StageOutcome out = run_protected_stage(module, "fraig", recovery, options.guard, body);
   if (!out.committed)
     stats = sweep::FraigStats{}; // skipped: module holds the pre-stage image
   return stats;
@@ -39,19 +33,15 @@ rewrite::RewriteStats rewrite_stage(rtlil::Module& module,
                                     RecoveryContext* recovery) {
   const obs::Span span("pipeline", "opt.rewrite_stage");
   rewrite::RewriteStats stats;
-  rewrite::RewriteOptions opts = options;
-  if (recovery != nullptr)
-    opts.quarantine = &recovery->quarantine;
-  const StageBody body = [&](rtlil::Module& m, int max_rounds) {
-    rewrite::RewriteOptions run = opts;
-    if (max_rounds >= 0) {
+  const StageBody body = [&](rtlil::Module& m, int max_rounds, util::ResourceGuard& guard) {
+    rewrite::RewriteOptions run = options;
+    run.guard = &guard;
+    if (max_rounds >= 0)
       run.max_rounds = std::min(run.max_rounds, static_cast<size_t>(max_rounds));
-      run.guard = nullptr;
-    }
     stats = rewrite::rewrite_sweep(m, run); // overwrite: retries must not accumulate
     opt_clean(m);
   };
-  const StageOutcome out = run_protected_stage(module, "rewrite", recovery, opts.guard, body);
+  const StageOutcome out = run_protected_stage(module, "rewrite", recovery, options.guard, body);
   if (!out.committed)
     stats = rewrite::RewriteStats{}; // skipped: module holds the pre-stage image
   return stats;

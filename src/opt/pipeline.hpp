@@ -24,8 +24,8 @@ void coarse_opt(rtlil::Module& module);
 ///
 /// With a non-null, enabled recovery context the stage runs inside a
 /// StageTransaction (snapshot / rollback / quarantine / retry; see
-/// opt/transaction.hpp) with the context's quarantine set threaded into the
-/// engine. A skipped stage returns zeroed stats and leaves the module at its
+/// opt/transaction.hpp), and the engine sees the context's quarantine set on
+/// its guard. A skipped stage returns zeroed stats and leaves the module at its
 /// pre-stage image.
 sweep::FraigStats fraig_stage(rtlil::Module& module, const sweep::FraigOptions& options = {},
                               RecoveryContext* recovery = nullptr);

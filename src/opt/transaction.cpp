@@ -45,18 +45,21 @@ namespace {
 /// probe count as failing; inconclusive CEC counts as passing (conservative:
 /// never blame a round the budget could not settle).
 bool probe_round_fails(const rtlil::Module& snapshot, const StageBody& body, int round_cap,
-                       util::ResourceGuard* guard, const util::RecoveryOptions& options) {
+                       const util::QuarantineSet& quarantine,
+                       const util::RecoveryOptions& options) {
   auto scratch = std::make_unique<rtlil::Design>();
   rtlil::Module* m = scratch->add_module(snapshot.name());
   rtlil::copy_module_into(*m, snapshot);
+  // A throwaway guard: probe work never charges the run's budgets, and probe
+  // faults cannot leak into the retry.
+  util::ResourceGuard probe;
+  probe.set_quarantine(&quarantine);
   bool failed = false;
   try {
-    body(*m, round_cap);
+    body(*m, round_cap, probe);
   } catch (const std::exception&) {
     failed = true;
   }
-  if (guard != nullptr)
-    guard->clear_fault_halt(); // probe faults must not leak into the retry
   if (!failed) {
     cec::CecOptions cec_opts;
     cec_opts.conflict_budget = options.paranoid_conflict_budget;
@@ -73,12 +76,13 @@ bool probe_round_fails(const rtlil::Module& snapshot, const StageBody& body, int
 /// (later rounds do not un-corrupt the netlist). Returns -1 when no capped
 /// run reproduces it (e.g. the wrongness needs the full, uncapped run).
 int bisect_faulting_round(const rtlil::Module& snapshot, const StageBody& body,
-                          util::ResourceGuard* guard, const util::RecoveryOptions& options) {
+                          const util::QuarantineSet& quarantine,
+                          const util::RecoveryOptions& options) {
   constexpr int kMaxRoundCap = 16; // matches the engines' largest default cap
   int lo = 1, hi = kMaxRoundCap, found = -1;
   while (lo <= hi) {
     const int mid = lo + (hi - lo) / 2;
-    if (probe_round_fails(snapshot, body, mid, guard, options)) {
+    if (probe_round_fails(snapshot, body, mid, quarantine, options)) {
       found = mid;
       hi = mid - 1;
     } else {
@@ -88,28 +92,45 @@ int bisect_faulting_round(const rtlil::Module& snapshot, const StageBody& body,
   return found;
 }
 
+/// Attaches a recovery context's quarantine to the stage guard for one
+/// protected stage; the guard may outlive the context, so its previous set
+/// comes back on exit.
+struct QuarantineAttachment {
+  QuarantineAttachment(util::ResourceGuard& g, const util::QuarantineSet& q)
+      : guard(g), previous(g.quarantine()) {
+    g.set_quarantine(&q);
+  }
+  ~QuarantineAttachment() { guard.set_quarantine(previous); }
+  QuarantineAttachment(const QuarantineAttachment&) = delete;
+  QuarantineAttachment& operator=(const QuarantineAttachment&) = delete;
+  util::ResourceGuard& guard;
+  const util::QuarantineSet* previous;
+};
+
 } // namespace
 
 StageOutcome run_protected_stage(rtlil::Module& module, const std::string& stage,
-                                 RecoveryContext* ctx, util::ResourceGuard* guard,
+                                 RecoveryContext* ctx, util::ResourceGuard* caller_guard,
                                  const StageBody& body) {
   static obs::Counter& stages_counter = obs::counter("txn.stages");
   stages_counter.add();
+  util::ResourceGuard stage_local;
+  util::ResourceGuard& guard = caller_guard != nullptr ? *caller_guard : stage_local;
   StageOutcome outcome;
   if (ctx == nullptr || !ctx->options.enabled) {
     const obs::Span span("txn", "stage:" + stage);
-    body(module, -1);
+    body(module, -1, guard);
     outcome.committed = true;
     outcome.attempts = 1;
     return outcome;
   }
 
   ctx->stats.stages += 1;
+  const QuarantineAttachment attachment(guard, ctx->quarantine);
   // A Fault trip still armed at entry is stale — left by code running outside
   // any transaction on the same guard. Clear it so it cannot be mis-attributed
   // to this stage's first attempt.
-  if (guard != nullptr)
-    guard->clear_fault_halt();
+  guard.clear_fault_halt();
   const int max_attempts = 1 + (ctx->options.max_retries > 0 ? ctx->options.max_retries : 0);
 
   for (int attempt = 1; attempt <= max_attempts; ++attempt) {
@@ -124,13 +145,13 @@ StageOutcome run_protected_stage(rtlil::Module& module, const std::string& stage
     ev.attempt = attempt;
 
     try {
-      body(module, -1);
-      if (guard != nullptr && guard->tripped() == util::BudgetKind::Fault) {
+      body(module, -1, guard);
+      if (guard.tripped() == util::BudgetKind::Fault) {
         // The engine contained a worker fault and halted at a barrier; the
         // guard carries the first offending site/unit (note_fault).
         failed = true;
         ev.reason = "fault-halt";
-        const util::FaultReport fr = guard->fault_report();
+        const util::FaultReport fr = guard.fault_report();
         if (fr.valid) {
           ev.site = fr.site;
           ev.unit = fr.unit;
@@ -149,7 +170,8 @@ StageOutcome run_protected_stage(rtlil::Module& module, const std::string& stage
             failed = true;
             ctx->stats.paranoid_miscompares += 1;
             ev.reason = "paranoid-miscompare";
-            ev.round = bisect_faulting_round(txn.snapshot(), body, guard, ctx->options);
+            ev.round =
+                bisect_faulting_round(txn.snapshot(), body, ctx->quarantine, ctx->options);
           }
         }
       }
@@ -188,8 +210,7 @@ StageOutcome run_protected_stage(rtlil::Module& module, const std::string& stage
 
     txn.rollback();
     ctx->stats.rollbacks += 1;
-    if (guard != nullptr)
-      guard->clear_fault_halt();
+    guard.clear_fault_halt();
 
     if (!ev.site.empty() && ev.unit != 0) {
       if (ctx->quarantine.add(ev.site, ev.unit)) {

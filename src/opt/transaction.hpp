@@ -17,7 +17,9 @@
 // On failure the module is rolled back byte-identically (verified against
 // the write_rtlil dump of the snapshot), the guard's Fault trip is cleared,
 // the failing unit is added to the sticky QuarantineSet, a repro bundle is
-// emitted, and the stage is re-run. After max_retries failures the stage is
+// emitted, and the stage is re-run. The engines see the quarantine through
+// the guard the body runs on: the driver attaches the context's set to it
+// for the stage's duration (util::ResourceGuard::set_quarantine). After max_retries failures the stage is
 // skipped — the module keeps its pre-stage contents and the pipeline moves
 // on. A protected stage therefore never aborts the job.
 //
@@ -77,11 +79,15 @@ private:
   std::unique_ptr<rtlil::Design> snapshot_;
 };
 
-/// One engine stage. `max_rounds` < 0 means "run with the configured round
-/// cap"; paranoid bisection probes re-run the body with caps 1..N to find
-/// the first faulting round. Bodies whose engine has no round notion ignore
-/// the parameter.
-using StageBody = std::function<void(rtlil::Module& module, int max_rounds)>;
+/// One engine stage, run on `guard`: the caller's guard (or a stage-local
+/// unlimited one) carrying the context's quarantine. `max_rounds` < 0 means
+/// "run with the configured round cap"; paranoid bisection probes re-run the
+/// body with caps 1..N to find the first faulting round, on a fresh probe
+/// guard that carries only the quarantine, so probe work never charges the
+/// run's budgets. Bodies whose engine has no round notion or no guard ignore
+/// the parameters.
+using StageBody =
+    std::function<void(rtlil::Module& module, int max_rounds, util::ResourceGuard& guard)>;
 
 struct StageOutcome {
   bool committed = false; ///< final module state is the stage's output
@@ -91,8 +97,9 @@ struct StageOutcome {
 
 /// Execute `body` under transactional recovery. With a null/disabled
 /// context the body runs unwrapped (zero overhead, no snapshot). `guard`
-/// may be null; when present its Fault trips are treated as stage failures
-/// and cleared before each retry.
+/// may be null (the body then runs on a stage-local unlimited guard); Fault
+/// trips on the guard are treated as stage failures and cleared before each
+/// retry.
 StageOutcome run_protected_stage(rtlil::Module& module, const std::string& stage,
                                  RecoveryContext* ctx, util::ResourceGuard* guard,
                                  const StageBody& body);

@@ -11,6 +11,8 @@
 #include "sim/packed_sim.hpp"
 #include "sweep/equiv_classes.hpp" // shared structural keys
 #include "util/fault.hpp"
+#include "util/recovery.hpp"
+#include "util/round_gate.hpp"
 #include "util/thread_pool.hpp"
 
 #include <array>
@@ -380,33 +382,17 @@ RewriteStats rewrite_sweep(rtlil::Module& module, const RewriteOptions& options)
   const RewriteLibrary& library = RewriteLibrary::instance();
   std::unordered_set<uint16_t> classes_seen;
 
-  util::ResourceGuard* guard = options.guard;
-  if (guard != nullptr)
-    guard->set_growth_baseline(module.cell_count());
+  util::RoundGate gate(options.guard, "rewrite.round");
+  util::ResourceGuard& guard = gate.guard();
+  guard.set_growth_baseline(module.cell_count());
 
   for (size_t round = 0; round < options.max_rounds; ++round) {
-    // Round barrier: deterministic budgets (incl. the growth cap against the
-    // post-commit cell count) arm the sticky halt flag only here.
-    if (guard != nullptr && guard->checkpoint(module.cell_count())) {
-      ++stats.halted;
-      guard->note_halted_engine();
+    // The growth cap is checked against the post-commit cell count.
+    const util::RoundStep step = gate.begin_round(round + 1, module.cell_count());
+    if (step == util::RoundStep::Stop)
       break;
-    }
-    if (options.quarantine != nullptr &&
-        options.quarantine->contains("rewrite.round", round + 1)) {
-      // A previously faulting round: skip it, keep iterating.
-      ++stats.quarantined;
+    if (step == util::RoundStep::Skip)
       continue;
-    }
-    if (util::fault_point("rewrite.round", round + 1) != util::FaultAction::None) {
-      if (guard != nullptr) {
-        guard->halt(util::BudgetKind::Fault);
-        guard->note_fault("rewrite.round", round + 1);
-        guard->note_halted_engine();
-      }
-      ++stats.halted;
-      break;
-    }
     ++stats.rounds;
     const obs::Span round_span("rewrite", "rewrite.round", "round",
                                static_cast<uint64_t>(round + 1));
@@ -482,16 +468,11 @@ RewriteStats rewrite_sweep(rtlil::Module& module, const RewriteOptions& options)
           work.canon.push_back(c);
           work.lits.push_back(it->second);
         }
-        if (ok && any_read && !work.raw.empty()) {
-          if (options.quarantine != nullptr &&
-              options.quarantine->contains("rewrite.eval", root_unit_id(work))) {
-            // Quarantined root: never evaluated. The work list is built in
-            // module cell order, so the filter is thread-count-deterministic.
-            ++stats.quarantined;
-            continue;
-          }
+        // Quarantined roots are never evaluated; the work list is built in
+        // module cell order.
+        if (ok && any_read && !work.raw.empty() &&
+            gate.admit("rewrite.eval", root_unit_id(work)))
           roots.push_back(std::move(work));
-        }
       }
 
       // Structural-key map over the round-start module (the notion shared
@@ -529,7 +510,7 @@ RewriteStats rewrite_sweep(rtlil::Module& module, const RewriteOptions& options)
       // budgets arm the sticky flag at the round barrier above, and the
       // "rewrite.eval" fault point fires in the commit loop, in
       // canonical order, so the same roots fault at every thread count.
-      if (guard != nullptr && guard->poll()) {
+      if (guard.poll()) {
         eval.skipped = true;
         return;
       }
@@ -975,31 +956,25 @@ RewriteStats rewrite_sweep(rtlil::Module& module, const RewriteOptions& options)
 
     };
 
-    bool faulted = false;
     {
       const obs::Span phase_span("rewrite", "rewrite.eval_phase", "roots",
                                  static_cast<uint64_t>(roots.size()));
       pool.run_batch(roots.size(), [&](int, size_t ri) { evaluate_root(ri); });
     }
-    try {
+    // The "rewrite.eval" fault point fires in the commit loop in canonical
+    // order, so the committed prefix a contained fault leaves — already
+    // materialized and journaled — is identical at every thread count.
+    const bool finished = gate.contain([&] {
       const obs::Span phase_span("rewrite", "rewrite.commit_phase", "roots",
                                  static_cast<uint64_t>(roots.size()));
       for (size_t ri = 0; ri < roots.size(); ++ri)
         commit_root(ri);
-    } catch (const util::FaultInjected& e) {
-      // The "rewrite.eval" fault point fires in the commit loop in
-      // canonical order, so the committed prefix — already materialized and
-      // journaled — is identical at every thread count. Injected faults are
-      // absorbed; real errors keep propagating.
-      faulted = true;
-      if (guard != nullptr)
-        guard->note_fault(e.site().c_str(), e.unit());
-    }
+    });
 
-    if (!faulted) {
+    if (finished) {
       stats.skipped_roots += round_skipped;
-      if (guard != nullptr && round_skipped > 0)
-        guard->note_skipped_rewrites(round_skipped);
+      if (round_skipped > 0)
+        guard.note_skipped_rewrites(round_skipped);
     }
     if (!journal.empty()) {
       // Applied even on a faulted round: the committed prefix's cells and
@@ -1009,19 +984,15 @@ RewriteStats rewrite_sweep(rtlil::Module& module, const RewriteOptions& options)
       opt::apply_sweep_journal(module, index, journal);
       journal.clear();
     }
-    if (faulted) {
-      if (guard != nullptr) {
-        guard->halt(util::BudgetKind::Fault);
-        guard->note_halted_engine();
-      }
-      ++stats.halted;
+    if (!finished)
       break;
-    }
     if (total_commits == 0 || positive_commits == 0)
       break; // idle round, or a zero-gain-only round (committed once, stop)
   }
 
   stats.npn_classes = classes_seen.size();
+  stats.quarantined = gate.quarantined();
+  stats.halted = gate.halted() ? 1 : 0;
   if (options.check_index) {
     const obs::Span s("rewrite", "rewrite.index");
     if (!rtlil::index_consistent(module, index))

@@ -41,7 +41,6 @@
 
 #include "rtlil/module.hpp"
 #include "util/budget.hpp"
-#include "util/recovery.hpp"
 
 #include <cstdint>
 
@@ -60,17 +59,14 @@ struct RewriteOptions {
   /// Optional run-wide resource governor (not owned). Deterministic budgets
   /// (incl. the cell-growth cap) are evaluated at round barriers;
   /// deadline/cancellation also polled per root from workers. On halt the
-  /// round's committed rewrites stand and no further rounds run.
+  /// round's committed rewrites stand and no further rounds run. Its
+  /// quarantine set, when attached, drops roots quarantined under
+  /// "rewrite.eval" and skips rounds quarantined under "rewrite.round"
+  /// (util/round_gate.hpp).
   util::ResourceGuard* guard = nullptr;
   /// Post-run self-check: assert the incrementally maintained NetlistIndex
   /// equals a from-scratch rebuild (throws std::logic_error on divergence).
   bool check_index = false;
-  /// Units the recovery layer has quarantined (not owned; frozen during the
-  /// run). Roots whose first canonical output bit is quarantined under
-  /// "rewrite.eval" are dropped from the work list (built in module cell
-  /// order, so the filter is thread-count-deterministic); rounds quarantined
-  /// under "rewrite.round" are skipped.
-  const util::QuarantineSet* quarantine = nullptr;
 };
 
 struct RewriteStats {

@@ -9,6 +9,8 @@
 // elimination pass issues many queries against one sub-graph encoding).
 #pragma once
 
+#include "util/budget.hpp"
+
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -187,6 +189,28 @@ private:
   double learnt_adjust_cnt_ = 100;
   double learnt_adjust_confl_ = 100;
   SolverStats stats_;
+};
+
+/// Ties one solver to a run's ResourceGuard: installs the interrupt hook when
+/// the guard can trip mid-phase (deadline or cancel token) and, on scope
+/// exit, charges the guard the solver's conflicts and propagations. Declare
+/// it right after the solver.
+class GuardLink {
+public:
+  GuardLink(Solver& solver, util::ResourceGuard& guard) : solver_(solver), guard_(guard) {
+    if (guard.wants_interrupts())
+      solver.set_interrupt_check([&guard] { return guard.poll(); });
+  }
+  ~GuardLink() {
+    guard_.charge_conflicts(solver_.stats().conflicts);
+    guard_.charge_propagations(solver_.stats().propagations);
+  }
+  GuardLink(const GuardLink&) = delete;
+  GuardLink& operator=(const GuardLink&) = delete;
+
+private:
+  Solver& solver_;
+  util::ResourceGuard& guard_;
 };
 
 } // namespace smartly::sat

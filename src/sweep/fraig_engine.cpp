@@ -7,6 +7,8 @@
 #include "opt/opt_merge.hpp"
 #include "sat/solver.hpp"
 #include "util/fault.hpp"
+#include "util/recovery.hpp"
+#include "util/round_gate.hpp"
 #include "util/thread_pool.hpp"
 
 #include <stdexcept>
@@ -52,7 +54,6 @@ struct ClassOutcome {
   size_t unknown = 0;
   size_t skipped = 0; ///< queries not solved at all (halt already observed)
   uint64_t conflicts = 0;
-  uint64_t propagations = 0;
 };
 
 /// Key of one (dup, target, polarity) proof obligation. Outcomes are
@@ -86,21 +87,19 @@ uint64_t class_unit_id(const EquivClass& cls) {
 }
 
 ClassOutcome prove_class(const EquivClass& cls, const EquivClasses& eq,
-                         const FraigOptions& options,
+                         const FraigOptions& options, util::ResourceGuard& guard,
                          const std::unordered_set<uint64_t>& settled) {
   ClassOutcome out;
   const uint64_t unit = class_unit_id(cls);
   sat::Solver solver;
+  const sat::GuardLink link(solver, guard);
   aig::ConeCnfEncoder enc(solver, eq.blast().aig);
-  if (options.guard != nullptr && options.guard->wants_interrupts())
-    solver.set_interrupt_check([g = options.guard] { return g->poll(); });
 
   const auto solve_budgeted = [&](const std::vector<sat::Lit>& assumptions) {
     // A halt observed mid-phase can only come from the nondeterministic
     // sources (deadline/cancel) or a fault plan: deterministic budgets arm
     // the sticky flag at barriers only, so this skip never fires under them.
-    if ((options.guard != nullptr && options.guard->poll()) ||
-        util::fault_unknown("fraig.solve", unit)) {
+    if (guard.poll() || util::fault_unknown("fraig.solve", unit)) {
       ++out.skipped;
       return sat::Result::Unknown;
     }
@@ -150,7 +149,6 @@ ClassOutcome prove_class(const EquivClass& cls, const EquivClasses& eq,
       }
     }
     out.conflicts = solver.stats().conflicts;
-    out.propagations = solver.stats().propagations;
     return out;
   }
 
@@ -210,7 +208,6 @@ ClassOutcome prove_class(const EquivClass& cls, const EquivClasses& eq,
     solver.add_clause(~act); // retire this query's clause group
   }
   out.conflicts = solver.stats().conflicts;
-  out.propagations = solver.stats().propagations;
   return out;
 }
 
@@ -506,35 +503,17 @@ FraigStats fraig_sweep(rtlil::Module& module, const FraigOptions& options) {
   std::unordered_map<SigBit, Replacement> proven;
   std::unordered_set<uint64_t> settled;
 
-  util::ResourceGuard* guard = options.guard;
-  if (guard != nullptr)
-    guard->set_growth_baseline(module.cells().size());
+  util::RoundGate gate(options.guard, "fraig.round");
+  util::ResourceGuard& guard = gate.guard();
+  guard.set_growth_baseline(module.cells().size());
 
   bool module_changed = true; // the module only mutates inside commit_merges
   for (size_t round = 0; round < options.max_rounds; ++round) {
-    // Round barrier: the only place deterministic budgets arm the halt flag,
-    // so the same budget trips at the same round for every thread count.
-    if (guard != nullptr && guard->checkpoint(module.cells().size())) {
-      ++stats.halted;
-      guard->note_halted_engine();
+    const util::RoundStep step = gate.begin_round(round + 1, module.cells().size());
+    if (step == util::RoundStep::Stop)
       break;
-    }
-    if (options.quarantine != nullptr &&
-        options.quarantine->contains("fraig.round", round + 1)) {
-      // A previously faulting round: skip it, keep iterating.
-      ++stats.quarantined;
+    if (step == util::RoundStep::Skip)
       continue;
-    }
-    if (util::fault_point("fraig.round", round + 1) != util::FaultAction::None) {
-      // Injected round fault: halt as a tripped budget would.
-      if (guard != nullptr) {
-        guard->halt(util::BudgetKind::Fault);
-        guard->note_fault("fraig.round", round + 1);
-        guard->note_halted_engine();
-      }
-      ++stats.halted;
-      break;
-    }
     ++stats.rounds;
     const obs::Span round_span("fraig", "fraig.round", "round",
                                static_cast<uint64_t>(round + 1));
@@ -545,18 +524,12 @@ FraigStats fraig_sweep(rtlil::Module& module, const FraigOptions& options) {
     std::vector<EquivClass> classes = eq.compute(&pool);
     if (round == 0)
       stats.candidate_bits = eq.candidate_bits();
-    if (options.quarantine != nullptr && !options.quarantine->empty()) {
-      // Canonical-order filter at the barrier: quarantined classes are never
-      // dispatched, identically on every thread count.
-      const size_t before = classes.size();
-      classes.erase(std::remove_if(classes.begin(), classes.end(),
-                                   [&](const EquivClass& c) {
-                                     return options.quarantine->contains("fraig.solve",
-                                                                         class_unit_id(c));
-                                   }),
-                    classes.end());
-      stats.quarantined += before - classes.size();
-    }
+    // Quarantined classes are never dispatched.
+    classes.erase(std::remove_if(classes.begin(), classes.end(),
+                                 [&](const EquivClass& c) {
+                                   return !gate.admit("fraig.solve", class_unit_id(c));
+                                 }),
+                  classes.end());
     if (classes.empty())
       break;
     stats.classes += classes.size();
@@ -567,32 +540,20 @@ FraigStats fraig_sweep(rtlil::Module& module, const FraigOptions& options) {
     const auto task = [&](size_t i) {
       const obs::Span class_span("fraig", "fraig.class", "class",
                                  class_unit_id(classes[i]));
-      outcomes[i] = prove_class(classes[i], eq, options, settled);
+      outcomes[i] = prove_class(classes[i], eq, options, guard, settled);
     };
-    bool faulted = false;
-    try {
+    const bool finished = gate.contain([&] {
       if (pool.size() > 1 && classes.size() > 1)
         pool.run_batch(classes.size(), [&](int, size_t i) { task(i); });
       else
         for (size_t i = 0; i < classes.size(); ++i)
           task(i);
-    } catch (const util::FaultInjected& e) {
-      // The prove phase never mutates the module, so dropping this round's
-      // outcomes wholesale leaves module and index exactly as the last
-      // barrier committed them. Only injected faults are absorbed; real
-      // errors keep propagating.
-      faulted = true;
-      if (guard != nullptr)
-        guard->note_fault(e.site().c_str(), e.unit());
-    }
-    if (faulted) {
-      if (guard != nullptr) {
-        guard->halt(util::BudgetKind::Fault);
-        guard->note_halted_engine();
-      }
-      ++stats.halted;
+    });
+    // The prove phase never mutates the module, so dropping a faulted
+    // round's outcomes wholesale leaves module and index exactly as the last
+    // barrier committed them.
+    if (!finished)
       break;
-    }
 
     // Barrier: aggregate in canonical class order (cex pool append order is
     // part of the determinism contract — signatures depend on it).
@@ -614,11 +575,7 @@ FraigStats fraig_sweep(rtlil::Module& module, const FraigOptions& options) {
       stats.unknown += out.unknown;
       stats.skipped_solves += out.skipped;
       stats.solver_conflicts += out.conflicts;
-      if (guard != nullptr) {
-        guard->charge_conflicts(out.conflicts);
-        guard->charge_propagations(out.propagations);
-        guard->note_skipped_solves(out.skipped);
-      }
+      guard.note_skipped_solves(out.skipped);
       for (const uint64_t key : out.attempted)
         settled.insert(key);
       for (const ClassOutcome::Proof& proof : out.proofs)
@@ -647,6 +604,8 @@ FraigStats fraig_sweep(rtlil::Module& module, const FraigOptions& options) {
     if (progress == 0)
       break;
   }
+  stats.quarantined = gate.quarantined();
+  stats.halted = gate.halted() ? 1 : 0;
   if (options.check_index && !rtlil::index_consistent(module, index))
     throw std::logic_error("fraig: incremental NetlistIndex diverged from rebuild");
 

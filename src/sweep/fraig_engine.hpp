@@ -32,7 +32,6 @@
 #include "rtlil/module.hpp"
 #include "sweep/equiv_classes.hpp"
 #include "util/budget.hpp"
-#include "util/recovery.hpp"
 
 #include <cstdint>
 
@@ -55,17 +54,14 @@ struct FraigOptions {
   /// are evaluated at round barriers; deadline/cancellation also polled from
   /// workers. On halt the engine keeps the merges already proven, commits
   /// them in canonical order, and returns — the result stays CEC-equivalent.
+  /// Its quarantine set, when attached, drops classes whose id is
+  /// quarantined under "fraig.solve" and skips rounds quarantined under
+  /// "fraig.round" (util/round_gate.hpp).
   util::ResourceGuard* guard = nullptr;
   /// Post-run self-check: assert the incrementally maintained NetlistIndex
   /// equals a from-scratch rebuild (throws std::logic_error on divergence).
   /// Test-only; the robustness suite enables it under fault injection.
   bool check_index = false;
-  /// Units the recovery layer has quarantined (not owned; frozen during the
-  /// run). Classes whose representative bit is quarantined under
-  /// "fraig.solve" are never dispatched; rounds quarantined under
-  /// "fraig.round" are skipped. The filter is applied in canonical class
-  /// order at the barrier, so it preserves thread-count determinism.
-  const util::QuarantineSet* quarantine = nullptr;
 };
 
 struct FraigStats {

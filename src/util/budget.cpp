@@ -1,5 +1,7 @@
 #include "util/budget.hpp"
 
+#include "util/recovery.hpp"
+
 namespace smartly::util {
 
 const char* budget_kind_name(BudgetKind kind) noexcept {
@@ -95,6 +97,10 @@ bool ResourceGuard::poll() noexcept {
     return true;
   }
   return false;
+}
+
+bool ResourceGuard::quarantined(const char* site, uint64_t unit) const noexcept {
+  return quarantine_ != nullptr && quarantine_->contains(site, unit);
 }
 
 ResourceReport ResourceGuard::report() const {

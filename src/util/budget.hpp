@@ -1,8 +1,10 @@
 // Resource governance for the optimization engines.
 //
 // A ResourceGuard carries per-run budgets (solver conflicts/propagations,
-// netlist growth) plus an opt-in wall-clock deadline and a cooperative
-// CancelToken, and is threaded by pointer through every engine. Engines
+// netlist growth) plus an opt-in wall-clock deadline, a cooperative
+// CancelToken and the recovery layer's frozen QuarantineSet, and is threaded
+// by pointer through every engine (util/round_gate.hpp is the protocol the
+// round-structured engines follow on it). Engines
 // *charge* work from any thread via lock-free counters, but *deterministic*
 // budgets are only evaluated at single-threaded barrier points
 // (checkpoint()): the charged totals at a barrier are a sum of completed
@@ -23,6 +25,8 @@
 #include <string>
 
 namespace smartly::util {
+
+class QuarantineSet;
 
 /// Budget limits for one optimization run. -1 (or 0 for growth) = unlimited.
 struct ResourceBudgets {
@@ -159,6 +163,16 @@ public:
 
   ResourceReport report() const;
 
+  // --- quarantine -----------------------------------------------------------
+
+  /// Attach the recovery layer's quarantine set (not owned; nullptr detaches).
+  /// Set only between stage runs: engines read it concurrently from workers,
+  /// which is safe because the set is frozen while a stage runs.
+  void set_quarantine(const QuarantineSet* quarantine) noexcept { quarantine_ = quarantine; }
+  const QuarantineSet* quarantine() const noexcept { return quarantine_; }
+  /// Whether the attached set names `unit` under `site` (false when none).
+  bool quarantined(const char* site, uint64_t unit) const noexcept;
+
 private:
   void trip(BudgetKind why) noexcept;
 
@@ -179,6 +193,8 @@ private:
 
   mutable std::mutex fault_mu_;
   FaultReport fault_; ///< guarded by fault_mu_
+
+  const QuarantineSet* quarantine_ = nullptr;
 };
 
 } // namespace smartly::util

@@ -1,5 +1,5 @@
-// Tseitin CNF encoding: SAT answers must agree with exhaustive AIG
-// simulation for every function and every assumption set.
+// Cone-restricted Tseitin CNF encoding: SAT answers must agree with
+// exhaustive AIG simulation for every function and every assumption set.
 #include "aig/aig.hpp"
 #include "aig/cnf.hpp"
 #include "sat/solver.hpp"
@@ -15,11 +15,10 @@ TEST(Cnf, ConstantsAreFixed) {
   Aig g;
   (void)g.add_input("a");
   sat::Solver s;
-  aig::CnfEncoder enc(s);
-  enc.encode(g);
-  EXPECT_EQ(s.solve({enc.lit(aig::kTrue)}), sat::Result::Sat);
-  EXPECT_EQ(s.solve({~enc.lit(aig::kTrue)}), sat::Result::Unsat);
-  EXPECT_EQ(s.solve({enc.lit(aig::kFalse)}), sat::Result::Unsat);
+  aig::ConeCnfEncoder enc(s, g);
+  EXPECT_EQ(s.solve({enc.ensure(aig::kTrue)}), sat::Result::Sat);
+  EXPECT_EQ(s.solve({~enc.ensure(aig::kTrue)}), sat::Result::Unsat);
+  EXPECT_EQ(s.solve({enc.ensure(aig::kFalse)}), sat::Result::Unsat);
 }
 
 TEST(Cnf, AndGateSemantics) {
@@ -28,16 +27,15 @@ TEST(Cnf, AndGateSemantics) {
   const Lit b = g.add_input("b");
   const Lit y = g.and_(a, b);
   sat::Solver s;
-  aig::CnfEncoder enc(s);
-  enc.encode(g);
+  aig::ConeCnfEncoder enc(s, g);
 
   // y & !a is unsat; y forces a and b.
-  EXPECT_EQ(s.solve({enc.lit(y), ~enc.lit(a)}), sat::Result::Unsat);
-  EXPECT_EQ(s.solve({enc.lit(y), ~enc.lit(b)}), sat::Result::Unsat);
-  EXPECT_EQ(s.solve({enc.lit(y), enc.lit(a), enc.lit(b)}), sat::Result::Sat);
+  EXPECT_EQ(s.solve({enc.ensure(y), ~enc.ensure(a)}), sat::Result::Unsat);
+  EXPECT_EQ(s.solve({enc.ensure(y), ~enc.ensure(b)}), sat::Result::Unsat);
+  EXPECT_EQ(s.solve({enc.ensure(y), enc.ensure(a), enc.ensure(b)}), sat::Result::Sat);
   // !y with a,b both true is unsat.
-  EXPECT_EQ(s.solve({~enc.lit(y), enc.lit(a), enc.lit(b)}), sat::Result::Unsat);
-  EXPECT_EQ(s.solve({~enc.lit(y), ~enc.lit(a)}), sat::Result::Sat);
+  EXPECT_EQ(s.solve({~enc.ensure(y), enc.ensure(a), enc.ensure(b)}), sat::Result::Unsat);
+  EXPECT_EQ(s.solve({~enc.ensure(y), ~enc.ensure(a)}), sat::Result::Sat);
 }
 
 TEST(Cnf, ComplementedLiteralsMapCorrectly) {
@@ -45,10 +43,9 @@ TEST(Cnf, ComplementedLiteralsMapCorrectly) {
   const Lit a = g.add_input("a");
   const Lit na = aig::lit_not(a);
   sat::Solver s;
-  aig::CnfEncoder enc(s);
-  enc.encode(g);
-  EXPECT_EQ(s.solve({enc.lit(a), enc.lit(na)}), sat::Result::Unsat);
-  EXPECT_EQ(s.solve({enc.lit(na)}), sat::Result::Sat);
+  aig::ConeCnfEncoder enc(s, g);
+  EXPECT_EQ(s.solve({enc.ensure(a), enc.ensure(na)}), sat::Result::Unsat);
+  EXPECT_EQ(s.solve({enc.ensure(na)}), sat::Result::Sat);
 }
 
 namespace {
@@ -93,10 +90,9 @@ TEST_P(CnfRandomEquiv, SatMatchesExhaustiveSimulation) {
   }
 
   sat::Solver s;
-  aig::CnfEncoder enc(s);
-  enc.encode(g);
-  EXPECT_EQ(s.solve({enc.lit(target)}) == sat::Result::Sat, can_be_1) << "seed " << seed;
-  EXPECT_EQ(s.solve({~enc.lit(target)}) == sat::Result::Sat, can_be_0) << "seed " << seed;
+  aig::ConeCnfEncoder enc(s, g);
+  EXPECT_EQ(s.solve({enc.ensure(target)}) == sat::Result::Sat, can_be_1) << "seed " << seed;
+  EXPECT_EQ(s.solve({~enc.ensure(target)}) == sat::Result::Sat, can_be_0) << "seed " << seed;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CnfRandomEquiv, ::testing::Range<uint64_t>(1, 40));
@@ -114,10 +110,11 @@ TEST_P(CnfModelCheck, ModelsSatisfyTheCircuit) {
   const Lit target = lits.back();
 
   sat::Solver s;
-  aig::CnfEncoder enc(s);
-  enc.encode(g);
+  aig::ConeCnfEncoder enc(s, g);
+  for (const uint32_t input : g.inputs())
+    enc.ensure(aig::mk_lit(input)); // inputs outside the target's cone too
   for (const bool want : {true, false}) {
-    const auto r = s.solve({want ? enc.lit(target) : ~enc.lit(target)});
+    const auto r = s.solve({want ? enc.ensure(target) : ~enc.ensure(target)});
     if (r != sat::Result::Sat)
       continue;
     std::vector<uint64_t> in(g.num_inputs(), 0);
@@ -142,13 +139,12 @@ TEST(Cnf, IncrementalAssumptionsDoNotPollute) {
   const Lit b = g.add_input("b");
   const Lit y = g.and_(a, b);
   sat::Solver s;
-  aig::CnfEncoder enc(s);
-  enc.encode(g);
-  EXPECT_EQ(s.solve({enc.lit(y), ~enc.lit(a)}), sat::Result::Unsat);
+  aig::ConeCnfEncoder enc(s, g);
+  EXPECT_EQ(s.solve({enc.ensure(y), ~enc.ensure(a)}), sat::Result::Unsat);
   // Same query again and a satisfiable one after: both must work.
-  EXPECT_EQ(s.solve({enc.lit(y), ~enc.lit(a)}), sat::Result::Unsat);
-  EXPECT_EQ(s.solve({enc.lit(y)}), sat::Result::Sat);
-  EXPECT_EQ(s.solve({~enc.lit(a)}), sat::Result::Sat);
+  EXPECT_EQ(s.solve({enc.ensure(y), ~enc.ensure(a)}), sat::Result::Unsat);
+  EXPECT_EQ(s.solve({enc.ensure(y)}), sat::Result::Sat);
+  EXPECT_EQ(s.solve({~enc.ensure(a)}), sat::Result::Sat);
 }
 
 TEST(Cnf, DeepChainUnsatProof) {
@@ -162,10 +158,9 @@ TEST(Cnf, DeepChainUnsatProof) {
     acc = g.and_(acc, ins.back());
   }
   sat::Solver s;
-  aig::CnfEncoder enc(s);
-  enc.encode(g);
+  aig::ConeCnfEncoder enc(s, g);
   for (int i : {0, 13, 63}) {
-    EXPECT_EQ(s.solve({enc.lit(acc), ~enc.lit(ins[size_t(i)])}), sat::Result::Unsat) << i;
+    EXPECT_EQ(s.solve({enc.ensure(acc), ~enc.ensure(ins[size_t(i)])}), sat::Result::Unsat) << i;
   }
-  EXPECT_EQ(s.solve({enc.lit(acc)}), sat::Result::Sat);
+  EXPECT_EQ(s.solve({enc.ensure(acc)}), sat::Result::Sat);
 }

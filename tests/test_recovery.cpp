@@ -202,7 +202,7 @@ TEST(ProtectedStage, DisabledContextRunsBodyUnwrapped) {
   Module& top = *design->top();
   int calls = 0;
   const auto out = opt::run_protected_stage(top, "noop", nullptr, nullptr,
-                                            [&](Module&, int) { ++calls; });
+                                            [&](Module&, int, util::ResourceGuard&) { ++calls; });
   EXPECT_TRUE(out.committed);
   EXPECT_EQ(out.attempts, 1);
   EXPECT_EQ(calls, 1);
@@ -218,7 +218,7 @@ TEST(ProtectedStage, FaultInjectedRollsBackQuarantinesAndRetries) {
   ctx.options.enabled = true;
   int calls = 0;
   const auto out = opt::run_protected_stage(
-      top, "stage", &ctx, nullptr, [&](Module& m, int) {
+      top, "stage", &ctx, nullptr, [&](Module& m, int, util::ResourceGuard&) {
         if (++calls == 1) {
           m.Not(rtlil::SigSpec(m.new_wire(1))); // dirty the module first
           throw util::FaultInjected("test.site", unit);
@@ -250,7 +250,7 @@ TEST(ProtectedStage, GuardFaultHaltIsAFailureAndGetsCleared) {
   ctx.options.enabled = true;
   int calls = 0;
   const auto out = opt::run_protected_stage(
-      top, "stage", &ctx, &guard, [&](Module&, int) {
+      top, "stage", &ctx, &guard, [&](Module&, int, util::ResourceGuard&) {
         if (++calls == 1) {
           // What an engine does when a worker's FaultInjected is contained.
           guard.note_fault("fraig.solve", unit);
@@ -278,7 +278,7 @@ TEST(ProtectedStage, RealBudgetTripIsDegradationNotFailure) {
   ctx.options.enabled = true;
   const auto out = opt::run_protected_stage(
       top, "stage", &ctx, &guard,
-      [&](Module&, int) { guard.halt(util::BudgetKind::Conflicts); });
+      [&](Module&, int, util::ResourceGuard&) { guard.halt(util::BudgetKind::Conflicts); });
 
   // Sound degradation: partial output kept, no rollback, trip stays sticky.
   EXPECT_TRUE(out.committed);
@@ -297,7 +297,7 @@ TEST(ProtectedStage, RetryExhaustionSkipsStageAndKeepsPreImage) {
   ctx.options.max_retries = 2;
   int calls = 0;
   const auto out = opt::run_protected_stage(
-      top, "stage", &ctx, nullptr, [&](Module& m, int) {
+      top, "stage", &ctx, nullptr, [&](Module& m, int, util::ResourceGuard&) {
         ++calls;
         m.new_wire(1);
         throw util::FaultInjected("test.site", util::bit_unit_id("u", calls));
@@ -329,7 +329,7 @@ TEST(ProtectedStage, ParanoidCatchesSilentCorruptionAndBisects) {
   ctx.options.paranoid = true;
   int calls = 0;
   const auto out = opt::run_protected_stage(
-      top, "stage", &ctx, nullptr, [&](Module& m, int) {
+      top, "stage", &ctx, nullptr, [&](Module& m, int, util::ResourceGuard&) {
         if (++calls > 1)
           return; // bisection probes and the retry behave correctly
         rtlil::Wire* y = m.wire("y");
@@ -443,10 +443,10 @@ TEST(ReproBundles, EmittedDuringRecoveryAndReplayDeterministically) {
     ASSERT_NE(design->top(), nullptr);
     const util::QuarantineSet quarantine = util::QuarantineSet::parse(bundle.quarantine);
     util::ResourceGuard guard;
+    guard.set_quarantine(&quarantine);
     sweep::FraigOptions options;
     options.threads = 2;
     options.guard = &guard;
-    options.quarantine = &quarantine;
     std::string site;
     uint64_t unit = 0;
     util::FaultScope scope(bundle.plan);
@@ -522,6 +522,45 @@ TEST(RecoverySchedules, OracleSweep) {
 TEST(RecoverySchedules, SweepEngine) { run_engine_schedules("sweep", false, false); }
 TEST(RecoverySchedules, FraigEngine) { run_engine_schedules("fraig", true, false); }
 TEST(RecoverySchedules, RewriteEngine) { run_engine_schedules("rewrite", false, true); }
+
+// A caller guard that already carries an unrelated quarantine set — the
+// service daemon's set, which names only whole jobs ("service.job") — must
+// not replace the in-job recovery set: the oracle and the sweep keep
+// quarantining the units that fault, so retries converge and no stage is
+// skipped, exactly as without the caller's set.
+TEST(RecoverySchedules, CallerQuarantineDoesNotMaskInJobRecovery) {
+  util::QuarantineSet unrelated;
+  unrelated.add("service.job", util::stable_name_hash("some-job"));
+  for (const bool oracle : {false, true}) {
+    uint64_t skipped = 0, rollbacks = 0;
+    for (uint64_t seed = 1; seed <= 10; ++seed) {
+      SCOPED_TRACE(std::string(oracle ? "oracle.solve" : "sweep") + " seed " +
+                   std::to_string(seed));
+      util::RecoveryStats runs[2];
+      for (const bool preset : {false, true}) {
+        auto design = verilog::read_verilog(benchgen::random_verilog(seed, 6));
+        util::ResourceGuard guard;
+        guard.set_quarantine(&unrelated);
+        core::SmartlyOptions options;
+        options.threads = 2;
+        options.recovery.enabled = true;
+        if (oracle)
+          options.sat.sim_max_inputs = 0;
+        if (preset)
+          options.sat.guard = &guard;
+        util::FaultScope scope(unit_plan(seed, oracle ? "oracle.solve" : "sweep"));
+        runs[preset ? 1 : 0] = core::smartly_flow(*design->top(), options).recovery;
+      }
+      EXPECT_EQ(runs[1].stages_skipped, runs[0].stages_skipped);
+      EXPECT_EQ(runs[1].rollbacks, runs[0].rollbacks);
+      EXPECT_EQ(quarantine_of(runs[1]), quarantine_of(runs[0]));
+      skipped += runs[1].stages_skipped;
+      rollbacks += runs[1].rollbacks;
+    }
+    EXPECT_EQ(skipped, 0u);
+    EXPECT_GT(rollbacks, 0u); // the schedules do fault and recover
+  }
+}
 
 // --- thread-count determinism ------------------------------------------------
 
